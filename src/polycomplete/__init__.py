@@ -14,7 +14,6 @@ from .crosscut import (
     FaceLayer,
     analyze,
     boundary_matrix,
-    completeness_via_homology,
     decide,
     enumerate_faces,
 )
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "analyze",
     "boundary_matrix",
-    "completeness_via_homology",
     "CompletenessReport",
     "decide",
     "enumerate_faces",

@@ -195,13 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="produce an incompleteness certificate or COMPLETE")
     p.add_argument("file", help="incidence file, or - for stdin")
-    p.add_argument("--machine", action="store_true", help="(output is already line-oriented)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="verify an incompleteness certificate")
     p.add_argument("file", help="incidence file, or - for stdin")
     p.add_argument("certificate", help="certificate file")
-    p.add_argument("--machine", action="store_true", help="(output is already line-oriented)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("extract", help="extract an incidence matrix from rational geometry")

@@ -184,11 +184,6 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     )
 
 
-def completeness_via_homology(d: int, J: IncidenceMinor) -> bool:
-    """Decide completeness on J itself: ker(boundary_{d-1}) > rank(boundary_d)."""
-    return analyze(d, J, side=SIDE_PRIMAL).complete
-
-
 def decide(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> bool:
     """Is J a complete incidence matrix minor of a d-polytope?
 

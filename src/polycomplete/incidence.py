@@ -31,11 +31,10 @@ class IncidenceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SizeStats:
-    """Maximal row support s, maximal column support s_col, and their min."""
+    """Maximal row support s and maximal column support s_col."""
 
     s: int
     s_col: int
-    s_prime: int
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def transpose(J: IncidenceMinor) -> IncidenceMinor:
 
 
 def size_stats(J: IncidenceMinor) -> SizeStats:
-    """Max row support, max column support, and their minimum."""
+    """Max row support and max column support."""
     s = max((mask.bit_count() for mask in J.row_masks), default=0)
     col_counts = [0] * J.n
     for mask in J.row_masks:
@@ -162,7 +161,7 @@ def size_stats(J: IncidenceMinor) -> SizeStats:
             col_counts[low.bit_length() - 1] += 1
             mask ^= low
     s_col = max(col_counts, default=0)
-    return SizeStats(s=s, s_col=s_col, s_prime=min(s, s_col))
+    return SizeStats(s=s, s_col=s_col)
 
 
 def parse_incidence(text: str) -> IncidenceMinor:

@@ -62,14 +62,14 @@ def _check_increasing(vertices: Simplex):
         raise ValueError(f"vertices {vertices} are not strictly increasing")
 
 
-def _validate_candidate(d: int, J: IncidenceMinor, candidate: Simplex) -> Simplex:
-    candidate = tuple(candidate)
-    if len(candidate) != d:
-        raise ValueError(f"candidate has {len(candidate)} vertices, expected {d}")
-    _check_increasing(candidate)
-    if candidate and not (1 <= candidate[0] and candidate[-1] <= J.n):
-        raise ValueError(f"candidate {candidate} has vertices outside 1..{J.n}")
-    return candidate
+def _validate_simplex(size: int, J: IncidenceMinor, vertices, what: str) -> Simplex:
+    vertices = tuple(vertices)
+    if len(vertices) != size:
+        raise ValueError(f"{what} has {len(vertices)} vertices, expected {size}")
+    _check_increasing(vertices)
+    if vertices and not (1 <= vertices[0] and vertices[-1] <= J.n):
+        raise ValueError(f"{what} {vertices} has vertices outside 1..{J.n}")
+    return vertices
 
 
 def is_pulling_facet(d: int, J: IncidenceMinor, candidate) -> bool:
@@ -78,21 +78,22 @@ def is_pulling_facet(d: int, J: IncidenceMinor, candidate) -> bool:
     Mirrors the greedy check: precompute, for i = d..1, the rows
     containing {vi, ..., vd}; then for i = 1..d pick the first such row F
     (by row index) with vi = min(F1 & ... & F_{i-1} & F).  Runs in
-    O(d(n+m)) set operations.
+    O(dm) operations on the n-bit row masks.
     """
-    candidate = _validate_candidate(d, J, candidate)
-    supports = [frozenset(sup) for sup in J.supports()]
+    candidate = _validate_simplex(d, J, candidate, "candidate")
     # containing_rows[i] = rows whose support includes {v_{i+1}, .., v_d}
-    containing_rows: list[list[int]] = [list(range(J.m))]
+    containing_rows: list[list[int]] = [list(J.row_masks)]
+    need = 0
     for v in reversed(candidate):
-        containing_rows.append([r for r in containing_rows[-1] if v in supports[r]])
+        need |= 1 << (v - 1)
+        containing_rows.append([r for r in containing_rows[-1] if r & need == need])
     containing_rows.reverse()  # index i (0-based) now matches v_{i+1}
 
-    current = frozenset(range(1, J.n + 1))
+    current = -1  # every vertex
     for i, v in enumerate(candidate):
         for r in containing_rows[i]:
-            meet = current & supports[r]
-            if meet and min(meet) == v:
+            meet = current & r
+            if meet & -meet == 1 << (v - 1):
                 current = meet
                 break
         else:
@@ -112,47 +113,58 @@ def find_pulling_facet(d: int, J: IncidenceMinor) -> Optional[Simplex]:
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
-    supports = [frozenset(sup) for sup in J.supports()]
-    live = frozenset(range(1, J.n + 1))
+    live = (1 << J.n) - 1
     chosen: list[int] = []
     for _ in range(d):
         if not live:
             return None
-        low = min(live)
+        low = live & -live
         best = None
         best_size = 0
-        for r, sup in enumerate(supports):
-            if low in sup:
+        for r in J.row_masks:
+            if r & low:
                 continue
-            size = len(live & sup)
+            size = (live & r).bit_count()
             if size > best_size:
                 best, best_size = r, size
         if best is None:
             return None
-        live &= supports[best]
-        chosen.append(min(live))
+        live &= best
+        chosen.append((live & -live).bit_length())
     return tuple(chosen)
+
+
+def _cofacets(d: int, J: IncidenceMinor, ridge: Simplex, memo: dict[Simplex, bool]) -> list[Simplex]:
+    """The pulling facets containing the (d-1)-set ridge; memo caches membership.
+
+    Only vertices in a row containing the ridge are tried: a pulling
+    facet lies inside its first row F1, so F1 contains the ridge.
+    """
+    need = sum(1 << (v - 1) for v in ridge)
+    star = 0
+    for r in J.row_masks:
+        if r & need == need:
+            star |= r
+    cofacets = []
+    for v in range(1, J.n + 1):
+        if star >> (v - 1) & 1 and v not in ridge:
+            cand = tuple(sorted(ridge + (v,)))
+            if cand not in memo:
+                memo[cand] = is_pulling_facet(d, J, cand)
+            if memo[cand]:
+                cofacets.append(cand)
+    return cofacets
 
 
 def ridge_cofacet_count(d: int, J: IncidenceMinor, ridge) -> int:
     """How many pulling facets contain the given (d-1)-set.
 
-    Tries all n-d+1 extensions by a vertex outside the ridge; for d = 1
-    the ridge is the empty set and this counts the singleton facets.
+    Tries the extensions by a vertex outside the ridge that lies in some
+    row containing it, so at most n-d+1; for d = 1 the ridge is the empty
+    set and this counts the singleton facets.
     """
-    ridge = tuple(ridge)
-    if len(ridge) != d - 1:
-        raise ValueError(f"ridge has {len(ridge)} vertices, expected {d - 1}")
-    _check_increasing(ridge)
-    if ridge and not (1 <= ridge[0] and ridge[-1] <= J.n):
-        raise ValueError(f"ridge {ridge} has vertices outside 1..{J.n}")
-    count = 0
-    for v in range(1, J.n + 1):
-        if v in ridge:
-            continue
-        if is_pulling_facet(d, J, tuple(sorted(ridge + (v,)))):
-            count += 1
-    return count
+    ridge = _validate_simplex(d - 1, J, ridge, "ridge")
+    return len(_cofacets(d, J, ridge, {}))
 
 
 def find_certificate(d: int, J: IncidenceMinor) -> Optional[PullingCertificate]:
@@ -170,25 +182,12 @@ def find_certificate(d: int, J: IncidenceMinor) -> Optional[PullingCertificate]:
     if start is None:
         return PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
     memo: dict[Simplex, bool] = {}
-
-    def member(cand: Simplex) -> bool:
-        hit = memo.get(cand)
-        if hit is None:
-            hit = memo[cand] = is_pulling_facet(d, J, cand)
-        return hit
-
     seen = {start}
     heap = [start]
     while heap:
         facet = heapq.heappop(heap)
         for ridge in combinations(facet, d - 1):
-            cofacets = []
-            for v in range(1, J.n + 1):
-                if v in ridge:
-                    continue
-                cand = tuple(sorted(ridge + (v,)))
-                if member(cand):
-                    cofacets.append(cand)
+            cofacets = _cofacets(d, J, ridge, memo)
             if len(cofacets) == 1:
                 return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, ridge)
             for nb in cofacets:

@@ -5,7 +5,6 @@ from polycomplete.crosscut import (
     SIDE_PRIMAL,
     analyze,
     boundary_matrix,
-    completeness_via_homology,
     decide,
     enumerate_faces,
 )
@@ -87,14 +86,14 @@ class TestBoundaryMatrix:
 
 class TestCompleteness:
     def test_km_yes_at_3(self, km):
-        assert completeness_via_homology(3, km) is True
+        assert analyze(3, km, side=SIDE_PRIMAL).complete is True
 
     def test_km_no_at_4(self, km):
-        assert completeness_via_homology(4, km) is False
+        assert analyze(4, km, side=SIDE_PRIMAL).complete is False
 
     def test_punctured_triangle(self):
         J = IncidenceMinor.from_rows(2, 3, [(1, 2), (2, 3)])
-        assert completeness_via_homology(2, J) is False
+        assert analyze(2, J, side=SIDE_PRIMAL).complete is False
 
     def test_negative_dimension_rejected(self, km):
         with pytest.raises(ValueError):

@@ -115,21 +115,20 @@ class TestTranspose:
 class TestSizeStats:
     def test_km(self, km):
         stats = size_stats(km)
-        assert (stats.s, stats.s_col, stats.s_prime) == (4, 3, 3)
+        assert (stats.s, stats.s_col) == (4, 3)
 
     def test_all_zero(self):
         stats = size_stats(IncidenceMinor(1, 2, (0, 0)))
-        assert (stats.s, stats.s_col, stats.s_prime) == (0, 0, 0)
+        assert (stats.s, stats.s_col) == (0, 0)
 
     def test_triangle(self):
         stats = size_stats(parse_incidence(TRIANGLE_TEXT))
-        assert (stats.s, stats.s_col, stats.s_prime) == (2, 2, 2)
+        assert (stats.s, stats.s_col) == (2, 2)
 
     @given(minors())
     def test_transpose_swaps_stats(self, J):
         a, b = size_stats(J), size_stats(transpose(J))
         assert (a.s, a.s_col) == (b.s_col, b.s)
-        assert a.s_prime == b.s_prime
 
 
 class TestValidation:

@@ -2,6 +2,8 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomplete.crosscut import decide
 from polycomplete.fixtures import (
@@ -233,6 +235,21 @@ class TestClosedSurface:
         assert find_certificate(d, J) is None
 
 
+class TestCofacetCountOnMinors:
+    @pytest.mark.parametrize("d,J", COMPLETE_SMALL)
+    def test_count_matches_exhaustive_facets(self, d, J):
+        # ridge_cofacet_count tries only vertices in a row containing the
+        # ridge; the exhaustive facet list tries every d-subset
+        minors = [delete_minor(J, rows=[i]) for i in range(1, J.m + 1)]
+        minors += [delete_minor(J, cols=[j]) for j in range(1, J.n + 1)]
+        for minor in minors:
+            facets = exhaustive_pulling(d, minor)
+            for facet in facets:
+                for ridge in combinations(facet, d - 1):
+                    expected = sum(1 for f in facets if set(ridge) <= set(f))
+                    assert ridge_cofacet_count(d, minor, ridge) == expected
+
+
 class TestSingleDeletionsCertified:
     @pytest.mark.parametrize(
         "d,J",
@@ -254,6 +271,53 @@ class TestSingleDeletionsCertified:
             minor = delete_minor(J, cols=[j])
             cert = find_certificate(d, minor)
             assert cert is not None and verify_certificate(d, minor, cert)
+
+
+# certificates of the middle-row and middle-column deleted minors, as the
+# lexicographic ridge walk finds them
+GOLDEN_CERTIFICATES = [
+    pytest.param(cyclic_incidence(4, 20), "RIDGE 4 12 13\n", "RIDGE 1 2 9\n", id="cyclic-4-20"),
+    pytest.param(cyclic_incidence(3, 60), "RIDGE 1 58\n", "RIDGE 1 29\n", id="cyclic-3-60"),
+    pytest.param(crosspolytope_incidence(7), "RIDGE 1 10 11 12 13 14\n", "RIDGE 2 3 4 5 6 7\n", id="cross-7"),
+    pytest.param(prism(prism(cube_km())), "RIDGE 17 25 26 27\n", "RIDGE 1 5 7 15\n", id="prism-prism-cube-km"),
+    pytest.param(prism(cyclic_incidence(3, 14)), "RIDGE 1 11 25\n", "RIDGE 1 2 3\n", id="prism-cyclic-3-14"),
+]
+
+
+@pytest.mark.parametrize("J,row_cert,col_cert", GOLDEN_CERTIFICATES)
+def test_golden_certificates(J, row_cert, col_cert):
+    d = J.d
+    assert find_certificate(d, J) is None
+    row, col = (J.m + 1) // 2, (J.n + 1) // 2
+    for minor, text in ((delete_minor(J, rows=[row]), row_cert), (delete_minor(J, cols=[col]), col_cert)):
+        cert = find_certificate(d, minor)
+        assert serialize_certificate(cert) == text
+        assert verify_certificate(d, minor, cert) is True
+
+
+AGREEMENT_BASES = [
+    cyclic_incidence(4, 12),
+    cyclic_incidence(5, 11),
+    prism(prism(cube_km())),
+    crosspolytope_incidence(5),
+]
+
+
+@st.composite
+def deleted_minors(draw):
+    J = draw(st.sampled_from(AGREEMENT_BASES))
+    rows = draw(st.sets(st.integers(1, J.m), max_size=3))
+    cols = draw(st.sets(st.integers(1, J.n), max_size=2))
+    return delete_minor(J, rows=rows, cols=cols)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(deleted_minors())
+def test_decide_agrees_with_certificate(J):
+    cert = find_certificate(J.d, J)
+    assert decide(J.d, J) is (cert is None)
+    if cert is not None:
+        assert verify_certificate(J.d, J, cert) is True
 
 
 def reorder_columns_kept_first(J, deleted_cols):
