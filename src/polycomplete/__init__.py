@@ -34,7 +34,6 @@ from .incidence import (
     IncidenceMinor,
     SizeStats,
     parse_incidence,
-    permutation_equivalent,
     serialize_incidence,
     size_stats,
     transpose,
@@ -74,7 +73,6 @@ __all__ = [
     "parse_certificate",
     "parse_geometry",
     "parse_incidence",
-    "permutation_equivalent",
     "PullingCertificate",
     "CertificateFormatError",
     "CertificateKind",

@@ -47,12 +47,16 @@ def _read_input(path: str) -> str:
         raise IncidenceFormatError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _write_output(path: Optional[str], text: str):
+def _write_output(path: Optional[str], text: str) -> int:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return EXIT_YES
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror}")
+    return EXIT_YES
 
 
 def _fail(message: str) -> int:
@@ -126,8 +130,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if not args.force:
             print("error: validation failed (use --force to extract anyway)", file=sys.stderr)
             return EXIT_INVALID
-    _write_output(args.output, serialize_incidence(extract_incidence(inst)))
-    return EXIT_YES
+    return _write_output(args.output, serialize_incidence(extract_incidence(inst)))
 
 
 def _parse_fixture_tokens(tokens: list[str]) -> fixtures.FixtureSpec:
@@ -170,8 +173,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             text = serialize_incidence(fixtures.incidence_fixture(spec))
     except ValueError as exc:
         return _fail(str(exc))
-    _write_output(args.output, text)
-    return EXIT_YES
+    return _write_output(args.output, text)
 
 
 def build_parser() -> argparse.ArgumentParser:

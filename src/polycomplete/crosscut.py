@@ -71,20 +71,23 @@ def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
     """Z2 boundary matrix from the upper layer to the lower one.
 
     One column per upper face, one row per lower face; entry 1 iff the
-    lower face is a codimension-1 subset of the upper face.  With lower.k
-    = -1 this is the augmentation row of all ones.
+    lower face is a codimension-1 subset of the upper face.  Each column
+    is built as a mask over the lower layer's indices, the orientation
+    Gf2Matrix reduces.  With lower.k = -1 this is the augmentation row of
+    all ones.
     """
     if upper.k != lower.k + 1:
         raise ValueError(f"layer mismatch: upper k={upper.k}, lower k={lower.k}")
-    masks = [0] * len(lower)
-    for j, face in enumerate(upper.faces):
+    cols = []
+    for face in upper.faces:
+        col = 0
         for facet in combinations(face, len(face) - 1):
             try:
-                i = lower.index[facet]
+                col |= 1 << lower.index[facet]
             except KeyError:
                 raise ValueError(f"lower layer is missing face {facet}") from None
-            masks[i] |= 1 << j
-    return Gf2Matrix(len(lower), len(upper), masks)
+        cols.append(col)
+    return Gf2Matrix(len(lower), len(upper), cols)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .geometry import GeometricInstance, Halfspace
+from .geometry import GeometricInstance, Halfspace, _echelon
 from .incidence import IncidenceMinor
 
 FAMILY_SIMPLEX = "simplex"
@@ -246,31 +246,17 @@ def _kernel_vector(rows: list[list[Fraction]], ncols: int) -> Optional[tuple[lis
     """One kernel vector of a rational matrix plus the kernel dimension.
 
     Returns None for a trivial kernel.  The vector sets the first free
-    variable to 1 and the other free variables to 0.
+    variable to 1 and the other free variables to 0, and back-substitutes
+    through the echelon rows for the pivot variables.
     """
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
+    echelon, pivots = _echelon(rows)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return None
     vec = [F0] * ncols
     vec[free[0]] = F1
-    for row_idx, col in enumerate(pivots):
-        vec[col] = -mat[row_idx][free[0]]
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        vec[col] = -sum((x * v for x, v in zip(row[col + 1 :], vec[col + 1 :])), F0) / row[col]
     return vec, len(free)
 
 

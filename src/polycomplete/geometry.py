@@ -113,16 +113,18 @@ class ValidationReport:
         return tuple(seen)
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact forward elimination: the echelon rows and their pivot columns.
+
+    The i-th returned row is zero left of pivot column i and nonzero at it.
+    """
     mat = [list(row) for row in rows if any(x != 0 for x in row)]
-    rank = 0
     ncols = len(mat[0]) if mat else 0
-    col = 0
-    while mat and col < ncols:
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         pivot_row = mat[rank]
@@ -131,9 +133,13 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
             factor = mat[i][col] / inv
             if factor:
                 mat[i] = [x - factor * y for x, y in zip(mat[i], pivot_row)]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix by exact Gaussian elimination."""
+    return len(_echelon(rows)[0])
 
 
 def affine_rank(points: Sequence[RationalPoint]) -> int:

@@ -1,91 +1,53 @@
-"""Dense linear algebra over GF(2) with rows packed into Python integers.
+"""GF(2) rank and kernel dimension with columns packed into Python integers.
 
-Each row of a matrix is one arbitrary-precision integer; bit j is the
-entry in column j (0-based here -- this is an internal algebra kernel).
-Row operations are single XORs, so Gaussian elimination runs at machine
-word speed regardless of width.  Rank and kernel dimension are all the
+Each column of a matrix is one arbitrary-precision integer; bit i is the
+entry in row i (0-based here -- this is an internal algebra kernel).
+Column operations are single XORs, so elimination runs at machine word
+speed regardless of height.  Rank and kernel dimension are all the
 homology decision needs; no Smith normal form, no other fields.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 
 class Gf2Matrix:
-    """An nrows x ncols matrix over GF(2), rows packed as integers."""
+    """An nrows x ncols matrix over GF(2), columns packed as integers."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "cols")
 
-    def __init__(self, nrows: int, ncols: int, rows: Optional[Sequence[int]] = None):
+    def __init__(self, nrows: int, ncols: int, cols: Sequence[int]):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if rows is None:
-            rows = [0] * nrows
-        rows = list(rows)
-        if len(rows) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-        limit = 1 << ncols
-        for i, r in enumerate(rows):
-            if not 0 <= r < limit:
-                raise ValueError(f"row {i}: bits set beyond column {ncols - 1}")
+        cols = list(cols)
+        if len(cols) != ncols:
+            raise ValueError(f"expected {ncols} columns, got {len(cols)}")
+        limit = 1 << nrows
+        for j, c in enumerate(cols):
+            if not 0 <= c < limit:
+                raise ValueError(f"column {j}: bits set beyond row {nrows - 1}")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[Iterable[int]]) -> "Gf2Matrix":
-        rows = []
-        ncols = 0
-        for row in bits:
-            row = list(row)
-            ncols = max(ncols, len(row))
-            rows.append(sum((b & 1) << j for j, b in enumerate(row)))
-        return cls(len(rows), ncols, rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def transpose(self) -> "Gf2Matrix":
-        out = [0] * self.ncols
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return Gf2Matrix(self.ncols, self.nrows, out)
+        self.cols = cols
 
     def rank(self) -> int:
-        """GF(2) rank; the input is never mutated.
+        """GF(2) rank by column reduction; the input is never mutated.
 
-        Elimination runs on whichever orientation has fewer rows (the rank
-        is orientation-independent); with int-packed rows that minimizes
-        Python-level iterations while each XOR stays a single operation.
-        Pivots are the lowest set bit of each reduced row.
+        Each column is reduced against the earlier pivots until its
+        highest set bit is new (it becomes a pivot) or it vanishes.
         """
-        mat = self.transpose() if self.nrows > self.ncols else self
         pivots: dict[int, int] = {}
-        rank = 0
-        for row in mat.rows:
-            cur = row
-            while cur:
-                low = cur & -cur
-                other = pivots.get(low)
+        for col in self.cols:
+            while col:
+                top = col.bit_length()
+                other = pivots.get(top)
                 if other is None:
-                    pivots[low] = cur
-                    rank += 1
+                    pivots[top] = col
                     break
-                cur ^= other
-        return rank
+                col ^= other
+        return len(pivots)
 
     def nullity(self) -> int:
         """Kernel dimension of the column action: ncols - rank."""
         return self.ncols - self.rank()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Gf2Matrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
-
-    def __repr__(self) -> str:
-        return f"Gf2Matrix({self.nrows}x{self.ncols})"

@@ -14,7 +14,6 @@ module provides the checkable entry path from coordinates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -226,41 +225,3 @@ def serialize_incidence(J: IncidenceMinor) -> str:
     for mask in J.row_masks:
         lines.append("".join("1" if (mask >> j) & 1 else "0" for j in range(J.n)))
     return "\n".join(lines) + "\n"
-
-
-def permutation_equivalent(a: IncidenceMinor, b: IncidenceMinor, max_cols: int = 9) -> bool:
-    """Whether a equals b up to a row and a column permutation.
-
-    Brute force over column permutations (grouped by column degree), so it
-    is limited to small matrices; raises for n > max_cols.  This is a test
-    and fixture helper, not an isomorphism algorithm.
-    """
-    if (a.m, a.n) != (b.m, b.n):
-        return False
-    if a.n > max_cols:
-        raise ValueError(f"permutation check limited to n <= {max_cols}")
-    if sorted(m.bit_count() for m in a.row_masks) != sorted(m.bit_count() for m in b.row_masks):
-        return False
-
-    def col_degrees(J):
-        degs = [0] * J.n
-        for mask in J.row_masks:
-            for j in range(J.n):
-                if (mask >> j) & 1:
-                    degs[j] += 1
-        return degs
-
-    deg_a, deg_b = col_degrees(a), col_degrees(b)
-    if sorted(deg_a) != sorted(deg_b):
-        return False
-    target = sorted(a.row_masks)
-    for perm in itertools.permutations(range(b.n)):
-        # perm[j] = source column of b mapped onto column j of a
-        if any(deg_a[j] != deg_b[perm[j]] for j in range(b.n)):
-            continue
-        remapped = sorted(
-            sum(((mask >> perm[j]) & 1) << j for j in range(b.n)) for mask in b.row_masks
-        )
-        if remapped == target:
-            return True
-    return False

@@ -183,10 +183,14 @@ def find_certificate(d: int, J: IncidenceMinor) -> Optional[PullingCertificate]:
         return PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
     memo: dict[Simplex, bool] = {}
     seen = {start}
+    done: set[Simplex] = set()  # ridges already walked from their other facet
     heap = [start]
     while heap:
         facet = heapq.heappop(heap)
         for ridge in combinations(facet, d - 1):
+            if ridge in done:
+                continue
+            done.add(ridge)
             cofacets = _cofacets(d, J, ridge, memo)
             if len(cofacets) == 1:
                 return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, ridge)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
-from .incidence import IncidenceMinor
+from polycomplete.incidence import IncidenceMinor
 
 
 class OracleSizeError(ValueError):
@@ -193,3 +193,41 @@ def hull_facets(points: Sequence[Sequence[Fraction]], max_subsets: int = 500_000
         if all(v <= 0 for v in values) or all(v >= 0 for v in values):
             facets.add(frozenset(i + 1 for i, v in enumerate(values) if v == 0))
     return frozenset(facets)
+
+
+def permutation_equivalent(a: IncidenceMinor, b: IncidenceMinor, max_cols: int = 9) -> bool:
+    """Whether a equals b up to a row and a column permutation.
+
+    Brute force over column permutations (grouped by column degree), so it
+    is limited to small matrices; raises for n > max_cols.  Not an
+    isomorphism algorithm.
+    """
+    if (a.m, a.n) != (b.m, b.n):
+        return False
+    if a.n > max_cols:
+        raise ValueError(f"permutation check limited to n <= {max_cols}")
+    if sorted(m.bit_count() for m in a.row_masks) != sorted(m.bit_count() for m in b.row_masks):
+        return False
+
+    def col_degrees(J):
+        degs = [0] * J.n
+        for mask in J.row_masks:
+            for j in range(J.n):
+                if (mask >> j) & 1:
+                    degs[j] += 1
+        return degs
+
+    deg_a, deg_b = col_degrees(a), col_degrees(b)
+    if sorted(deg_a) != sorted(deg_b):
+        return False
+    target = sorted(a.row_masks)
+    for perm in permutations(range(b.n)):
+        # perm[j] = source column of b mapped onto column j of a
+        if any(deg_a[j] != deg_b[perm[j]] for j in range(b.n)):
+            continue
+        remapped = sorted(
+            sum(((mask >> perm[j]) & 1) << j for j in range(b.n)) for mask in b.row_masks
+        )
+        if remapped == target:
+            return True
+    return False

@@ -23,9 +23,10 @@ from polycomplete.geometry import (
     extract_incidence,
     validate_instance,
 )
-from polycomplete.incidence import IncidenceMinor, permutation_equivalent, transpose
-from polycomplete.oracle import homology_all_ranks, pulling_triangulation_by_flags
+from polycomplete.incidence import IncidenceMinor, transpose
 from polycomplete.pulling import find_certificate, is_pulling_facet, verify_certificate
+
+from oracle import homology_all_ranks, permutation_equivalent, pulling_triangulation_by_flags
 
 
 @contextmanager

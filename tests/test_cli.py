@@ -189,6 +189,14 @@ class TestExtract:
         assert code == 0 and out == ""
         assert parse_incidence(out_path.read_text()) == km
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        geom = tmp_path / "cube.geom"
+        geom.write_text(serialize_geometry(geometric_cube_km()))
+        out_path = tmp_path / "missing" / "out.inc"
+        code, out, err = run(capsys, "extract", "-o", str(out_path), str(geom))
+        assert code == 2 and out == ""
+        assert f"error: cannot write {out_path}: " in err
+
 
 class TestGen:
     def test_cyclic(self, capsys):
@@ -226,6 +234,12 @@ class TestGen:
     def test_out_of_range(self, capsys):
         code, _, _ = run(capsys, "gen", "cyclic", "4", "20")
         assert code == 2
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.inc"
+        code, out, err = run(capsys, "gen", "cube-km", "-o", str(out_path))
+        assert code == 2 and out == ""
+        assert f"error: cannot write {out_path}: " in err
 
 
 class TestPipelines:

@@ -17,7 +17,8 @@ from polycomplete.fixtures import (
     simplex_incidence,
 )
 from polycomplete.incidence import IncidenceMinor, transpose
-from polycomplete.oracle import homology_all_ranks
+
+from oracle import homology_all_ranks
 
 
 class TestEnumerateFaces:
@@ -59,7 +60,7 @@ class TestBoundaryMatrix:
         lower = enumerate_faces(J, 1)
         bd = boundary_matrix(upper, lower)
         assert (bd.nrows, bd.ncols) == (3, 1)
-        assert [bd.entry(i, 0) for i in range(3)] == [1, 1, 1]
+        assert bd.cols == [0b111]
 
     def test_empty_upper_layer(self, km):
         bd = boundary_matrix(enumerate_faces(km, 4), enumerate_faces(km, 3))
@@ -77,7 +78,7 @@ class TestBoundaryMatrix:
         J = IncidenceMinor.from_rows(1, 3, [(1,), (3,)])
         bd = boundary_matrix(enumerate_faces(J, 0), enumerate_faces(J, -1))
         assert (bd.nrows, bd.ncols) == (1, 2)
-        assert [bd.entry(0, j) for j in range(2)] == [1, 1]
+        assert bd.cols == [1, 1]
 
     def test_layer_mismatch(self, km):
         with pytest.raises(ValueError):

@@ -21,7 +21,8 @@ from polycomplete.fixtures import (
     simplex_incidence,
 )
 from polycomplete.geometry import extract_incidence
-from polycomplete.oracle import hull_facets
+
+from oracle import hull_facets
 
 
 def cyclic_facet_count(d, n):

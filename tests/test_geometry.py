@@ -27,7 +27,8 @@ from polycomplete.geometry import (
     serialize_geometry,
     validate_instance,
 )
-from polycomplete.incidence import permutation_equivalent
+
+from oracle import permutation_equivalent
 
 
 def drop_halfspace(inst, k):

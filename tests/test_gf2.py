@@ -12,35 +12,48 @@ def matrices(max_rows=7, max_cols=7):
     def build(draw):
         r = draw(st.integers(min_value=0, max_value=max_rows))
         c = draw(st.integers(min_value=0, max_value=max_cols))
-        rows = [draw(st.integers(min_value=0, max_value=(1 << c) - 1)) for _ in range(r)]
-        return Gf2Matrix(r, c, rows)
+        cols = [draw(st.integers(min_value=0, max_value=(1 << r) - 1)) for _ in range(c)]
+        return Gf2Matrix(r, c, cols)
 
     return build()
 
 
+def from_rows(bits):
+    """Matrix from a list of 0/1 rows (bit i of column j is bits[i][j])."""
+    nrows = len(bits)
+    ncols = max((len(row) for row in bits), default=0)
+    cols = [sum(row[j] << i for i, row in enumerate(bits) if j < len(row)) for j in range(ncols)]
+    return Gf2Matrix(nrows, ncols, cols)
+
+
+def transpose(m):
+    rows = [sum(((c >> i) & 1) << j for j, c in enumerate(m.cols)) for i in range(m.nrows)]
+    return Gf2Matrix(m.ncols, m.nrows, rows)
+
+
 class TestRank:
     def test_identity(self):
-        assert Gf2Matrix.from_bits([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
+        assert from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
 
     def test_zero(self):
-        assert Gf2Matrix(4, 5).rank() == 0
-        assert Gf2Matrix(0, 5).rank() == 0
-        assert Gf2Matrix(4, 0).rank() == 0
+        assert Gf2Matrix(4, 5, [0] * 5).rank() == 0
+        assert Gf2Matrix(0, 5, [0] * 5).rank() == 0
+        assert Gf2Matrix(4, 0, []).rank() == 0
 
     def test_dependent_rows(self):
         # third row is the XOR of the first two
-        m = Gf2Matrix.from_bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        m = from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert m.rank() == 2
 
     def test_input_not_mutated(self):
-        m = Gf2Matrix.from_bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        before = list(m.rows)
+        m = from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        before = list(m.cols)
         m.rank()
-        assert m.rows == before
+        assert m.cols == before
 
     @given(matrices())
     def test_rank_equals_transpose_rank(self, m):
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
     @given(matrices())
     def test_rank_bounded(self, m):
@@ -48,23 +61,34 @@ class TestRank:
 
     @given(matrices(), st.randoms(use_true_random=False))
     def test_invariant_under_row_ops(self, m, rnd):
-        rows = list(m.rows)
-        rnd.shuffle(rows)
-        if len(rows) >= 2:
-            i, j = rnd.sample(range(len(rows)), 2)
-            rows[i] ^= rows[j]
-        assert Gf2Matrix(m.nrows, m.ncols, rows).rank() == m.rank()
+        order = list(range(m.nrows))
+        rnd.shuffle(order)
+        cols = [sum(((c >> src) & 1) << dst for dst, src in enumerate(order)) for c in m.cols]
+        if m.nrows >= 2:
+            i, j = rnd.sample(range(m.nrows), 2)
+            # add row i to row j
+            cols = [c ^ (((c >> i) & 1) << j) for c in cols]
+        assert Gf2Matrix(m.nrows, m.ncols, cols).rank() == m.rank()
+
+    @given(matrices(), st.randoms(use_true_random=False))
+    def test_invariant_under_column_ops(self, m, rnd):
+        cols = list(m.cols)
+        rnd.shuffle(cols)
+        if len(cols) >= 2:
+            i, j = rnd.sample(range(len(cols)), 2)
+            cols[i] ^= cols[j]
+        assert Gf2Matrix(m.nrows, m.ncols, cols).rank() == m.rank()
 
 
 class TestNullity:
     def test_identity(self):
-        assert Gf2Matrix.from_bits([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).nullity() == 0
+        assert from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).nullity() == 0
 
     def test_empty_map_full_kernel(self):
-        assert Gf2Matrix(0, 5).nullity() == 5
+        assert Gf2Matrix(0, 5, [0] * 5).nullity() == 5
 
     def test_dependent_rows(self):
-        assert Gf2Matrix.from_bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).nullity() == 1
+        assert from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).nullity() == 1
 
     @given(matrices())
     def test_rank_nullity(self, m):
@@ -74,39 +98,39 @@ class TestNullity:
 class TestConstruction:
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
-            Gf2Matrix(1, 2, [4])
+            Gf2Matrix(2, 1, [4])
 
-    def test_rejects_row_count_mismatch(self):
+    def test_rejects_column_count_mismatch(self):
         with pytest.raises(ValueError):
             Gf2Matrix(2, 2, [1])
 
-    def test_entry_and_transpose(self):
-        m = Gf2Matrix.from_bits([[1, 0], [1, 1], [0, 1]])
-        assert [[m.entry(i, j) for j in range(2)] for i in range(3)] == [[1, 0], [1, 1], [0, 1]]
-        t = m.transpose()
-        assert [[t.entry(i, j) for j in range(3)] for i in range(2)] == [[1, 1, 0], [0, 1, 1]]
+    def test_rejects_negative_dimensions(self):
+        with pytest.raises(ValueError):
+            Gf2Matrix(-1, 0, [])
+
+
+def naive_rank(bits):
+    mat = [row[:] for row in bits]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                mat[i] = [a ^ b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
 
 
 def test_agrees_with_naive_elimination_on_random_matrices():
     rng = random.Random(7)
-
-    def naive_rank(bits):
-        mat = [row[:] for row in bits]
-        rank = 0
-        cols = len(mat[0]) if mat else 0
-        for c in range(cols):
-            piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            for i in range(len(mat)):
-                if i != rank and mat[i][c]:
-                    mat[i] = [a ^ b for a, b in zip(mat[i], mat[rank])]
-            rank += 1
-        return rank
-
-    for _ in range(200):
-        r = rng.randint(0, 8)
-        c = rng.randint(0, 8)
-        bits = [[rng.randint(0, 1) for _ in range(c)] for _ in range(r)]
-        assert Gf2Matrix.from_bits(bits).rank() == naive_rank(bits)
+    # square, tall (more rows than columns) and wide shapes
+    for max_rows, max_cols in ((8, 8), (40, 5), (5, 40)):
+        for _ in range(200):
+            r = rng.randint(0, max_rows)
+            c = rng.randint(0, max_cols)
+            bits = [[rng.randint(0, 1) for _ in range(c)] for _ in range(r)]
+            assert from_rows(bits).rank() == naive_rank(bits)

@@ -3,7 +3,8 @@ import pytest
 from polycomplete.crosscut import enumerate_faces
 from polycomplete.fixtures import cube_km, cyclic_incidence, simplex_incidence
 from polycomplete.incidence import IncidenceMinor
-from polycomplete.oracle import (
+
+from oracle import (
     OracleSizeError,
     homology_all_ranks,
     hull_facets,

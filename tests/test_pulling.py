@@ -14,8 +14,8 @@ from polycomplete.fixtures import (
     prism,
     simplex_incidence,
 )
+from polycomplete import pulling
 from polycomplete.incidence import IncidenceMinor
-from polycomplete.oracle import pulling_triangulation_by_flags
 from polycomplete.pulling import (
     CertificateFormatError,
     CertificateKind,
@@ -28,6 +28,8 @@ from polycomplete.pulling import (
     serialize_certificate,
     verify_certificate,
 )
+
+from oracle import pulling_triangulation_by_flags
 
 # pulling triangulation of the Klee-Minty cube: two triangles per facet,
 # coned from the facet's smallest vertex over its two far edges
@@ -151,6 +153,25 @@ class TestFindCertificate:
     def test_deterministic(self, km):
         J = delete_minor(km, cols=[8])
         assert find_certificate(3, J) == find_certificate(3, J)
+
+    @pytest.mark.parametrize(
+        "d, J",
+        [(3, cube_km()), (4, cyclic_incidence(4, 12)), (3, prism(cyclic_incidence(2, 6)))],
+        ids=["cube-km", "cyclic-4-12", "prism-hexagon"],
+    )
+    def test_complete_walk_visits_each_ridge_once(self, monkeypatch, d, J):
+        walked = []
+        cofacets = pulling._cofacets
+
+        def counting(d, J, ridge, memo):
+            walked.append(ridge)
+            return cofacets(d, J, ridge, memo)
+
+        monkeypatch.setattr(pulling, "_cofacets", counting)
+        assert find_certificate(d, J) is None
+        ridges = {r for f in exhaustive_pulling(d, J) for r in combinations(f, d - 1)}
+        assert len(walked) == len(ridges)
+        assert set(walked) == ridges
 
     def test_d1(self):
         segment = simplex_incidence(1)
