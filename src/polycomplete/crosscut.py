@@ -21,7 +21,7 @@ from math import comb
 from .gf2 import Gf2Matrix
 from .incidence import IncidenceMinor, SizeStats, size_stats, transpose
 
-Face = tuple[int, ...]
+Face = int  # vertex bitmask: bit v-1 stands for vertex v
 
 SIDE_AUTO = "auto"
 SIDE_PRIMAL = "primal"
@@ -32,9 +32,9 @@ SIDE_DUAL = "dual"
 class FaceLayer:
     """All k-dimensional faces ((k+1)-subsets) of a crosscut complex.
 
-    Faces are strictly increasing tuples, deduplicated across rows and
-    sorted lexicographically, so downstream matrices are reproducible
-    bit for bit.  k = -1 holds the single empty face.
+    Faces are vertex bitmasks, deduplicated across rows and sorted
+    ascending, so downstream matrices are reproducible bit for bit.
+    k = -1 holds the single empty face 0.
     """
 
     k: int
@@ -59,11 +59,12 @@ def enumerate_faces(J: IncidenceMinor, k: int) -> FaceLayer:
         raise ValueError("face dimension k must be >= -1")
     if k == -1:
         present = J.m > 0 or J.n > 0
-        return FaceLayer(-1, ((),) if present else ())
+        return FaceLayer(-1, (0,) if present else ())
     seen: set[Face] = set()
-    for sup in J.supports():
-        if len(sup) >= k + 1:
-            seen.update(combinations(sup, k + 1))
+    for row in J.row_masks:
+        if row.bit_count() >= k + 1:
+            bits = [1 << j for j in range(row.bit_length()) if row >> j & 1]
+            seen.update(map(sum, combinations(bits, k + 1)))
     return FaceLayer(k, tuple(sorted(seen)))
 
 
@@ -71,21 +72,27 @@ def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
     """Z2 boundary matrix from the upper layer to the lower one.
 
     One column per upper face, one row per lower face; entry 1 iff the
-    lower face is a codimension-1 subset of the upper face.  Each column
-    is built as a mask over the lower layer's indices, the orientation
-    Gf2Matrix reduces.  With lower.k = -1 this is the augmentation row of
-    all ones.
+    lower face is a codimension-1 subset of the upper face, that is the
+    upper face with one bit cleared.  Each column is built as a mask over
+    the lower layer's indices, the orientation Gf2Matrix reduces.  With
+    lower.k = -1 this is the augmentation row of all ones.
     """
     if upper.k != lower.k + 1:
         raise ValueError(f"layer mismatch: upper k={upper.k}, lower k={lower.k}")
+    index = lower.index
     cols = []
     for face in upper.faces:
         col = 0
-        for facet in combinations(face, len(face) - 1):
+        rest = face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            facet = face ^ low
             try:
-                col |= 1 << lower.index[facet]
+                col |= 1 << index[facet]
             except KeyError:
-                raise ValueError(f"lower layer is missing face {facet}") from None
+                labels = ", ".join(str(j + 1) for j in range(facet.bit_length()) if facet >> j & 1)
+                raise ValueError(f"lower layer is missing face {{{labels}}}") from None
         cols.append(col)
     return Gf2Matrix(len(lower), len(upper), cols)
 

@@ -124,8 +124,7 @@ def prism(J: IncidenceMinor) -> IncidenceMinor:
 def delete_minor(J: IncidenceMinor, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> IncidenceMinor:
     """Remove the named 1-based rows and columns; d is unchanged.
 
-    Remaining columns are renumbered 1.. in their original order; labels
-    of the kept rows and columns survive.
+    Remaining columns are renumbered 1.. in their original order.
     """
     drop_rows = set(rows)
     drop_cols = set(cols)
@@ -137,18 +136,14 @@ def delete_minor(J: IncidenceMinor, rows: Iterable[int] = (), cols: Iterable[int
             raise IndexError(f"column {j} outside 1..{J.n}")
     keep_cols = [j for j in range(1, J.n + 1) if j not in drop_cols]
     masks = []
-    kept_rows = []
     for i in range(1, J.m + 1):
         if i in drop_rows:
             continue
-        kept_rows.append(i)
         mask = 0
         for new_j, old_j in enumerate(keep_cols):
             mask |= J.entry(i, old_j) << new_j
         masks.append(mask)
-    row_labels = tuple(J.row_label(i) for i in kept_rows) if J.row_labels else None
-    col_labels = tuple(J.col_label(j) for j in keep_cols) if J.col_labels else None
-    return IncidenceMinor(J.d, len(keep_cols), tuple(masks), row_labels, col_labels)
+    return IncidenceMinor(J.d, len(keep_cols), tuple(masks))
 
 
 def incidence_fixture(spec: FixtureSpec) -> IncidenceMinor:

@@ -159,6 +159,8 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
     points), (c) every point on at least d tight halfspaces with normals
     spanning dimension d, (d) every halfspace tight on points that
     affinely span dimension d-1.  Duplicate points are rejected up front.
+    Tightness is evaluated once, by extract_incidence; checks (b) to (d)
+    read its row masks.
     """
     issues: list[ValidationIssue] = []
     seen: dict[RationalPoint, int] = {}
@@ -190,8 +192,10 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
                 f"affine hull has dimension {rank}, expected {inst.d}",
             )
         )
-    for k, h in enumerate(inst.halfspaces, start=1):
-        if inst.points and all(h.is_tight(p) for p in inst.points):
+    tight = extract_incidence(inst).row_masks
+    every_point = (1 << len(inst.points)) - 1
+    for k, mask in enumerate(tight, start=1):
+        if inst.points and mask == every_point:
             issues.append(
                 ValidationIssue(
                     CHECK_FULL_DIMENSION,
@@ -200,21 +204,20 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
                 )
             )
 
-    for i, p in enumerate(inst.points, start=1):
-        normals = [h.normal for h in inst.halfspaces if h.is_tight(p)]
+    for i in range(len(inst.points)):
+        normals = [h.normal for h, mask in zip(inst.halfspaces, tight) if mask >> i & 1]
         span = rational_rank(normals)
         if span != inst.d:
             issues.append(
                 ValidationIssue(
                     CHECK_VERTEX,
-                    f"point {i}",
+                    f"point {i + 1}",
                     f"tight halfspace normals span dimension {span}, expected {inst.d}",
                 )
             )
 
-    for k, h in enumerate(inst.halfspaces, start=1):
-        tight = [p for p in inst.points if h.is_tight(p)]
-        rank = affine_rank(tight)
+    for k, mask in enumerate(tight, start=1):
+        rank = affine_rank([p for j, p in enumerate(inst.points) if mask >> j & 1])
         if rank != inst.d - 1:
             issues.append(
                 ValidationIssue(

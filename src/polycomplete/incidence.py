@@ -14,7 +14,7 @@ module provides the checkable entry path from coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -43,16 +43,11 @@ class IncidenceMinor:
     Rows are stored as integer bitmasks; bit j-1 of ``row_masks[i]`` is the
     entry in row i+1, column j.  Values are immutable after construction;
     all operations on them are pure.
-
-    Labels are decorative text (they survive transposition and minor
-    deletion but are not serialized and do not take part in equality).
     """
 
     d: int
     n: int
     row_masks: tuple[int, ...]
-    row_labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    col_labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.d < 0:
@@ -63,10 +58,6 @@ class IncidenceMinor:
         for i, mask in enumerate(self.row_masks):
             if not 0 <= mask < limit:
                 raise ValueError(f"row {i + 1}: bits outside columns 1..{self.n}")
-        if self.row_labels is not None and len(self.row_labels) != len(self.row_masks):
-            raise ValueError("row label count does not match row count")
-        if self.col_labels is not None and len(self.col_labels) != self.n:
-            raise ValueError("column label count does not match column count")
 
     @property
     def m(self) -> int:
@@ -93,21 +84,8 @@ class IncidenceMinor:
     def supports(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.support(i) for i in range(1, self.m + 1))
 
-    def row_label(self, i: int) -> str:
-        return self.row_labels[i - 1] if self.row_labels else str(i)
-
-    def col_label(self, j: int) -> str:
-        return self.col_labels[j - 1] if self.col_labels else str(j)
-
     @classmethod
-    def from_rows(
-        cls,
-        d: int,
-        n: int,
-        rows: Iterable[Iterable[int]],
-        row_labels: Optional[tuple[str, ...]] = None,
-        col_labels: Optional[tuple[str, ...]] = None,
-    ) -> "IncidenceMinor":
+    def from_rows(cls, d: int, n: int, rows: Iterable[Iterable[int]]) -> "IncidenceMinor":
         """Build from an iterable of vertex-label subsets of {1..n}."""
         masks = []
         for row in rows:
@@ -117,7 +95,7 @@ class IncidenceMinor:
                     raise ValueError(f"vertex label {v} outside 1..{n}")
                 mask |= 1 << (v - 1)
             masks.append(mask)
-        return cls(d, n, tuple(masks), row_labels, col_labels)
+        return cls(d, n, tuple(masks))
 
     @classmethod
     def from_bits(cls, d: int, bits: Iterable[Iterable[int]]) -> "IncidenceMinor":
@@ -147,7 +125,7 @@ def transpose(J: IncidenceMinor) -> IncidenceMinor:
             low = mask & -mask
             masks[low.bit_length() - 1] |= 1 << i
             mask ^= low
-    return IncidenceMinor(J.d, J.m, tuple(masks), J.col_labels, J.row_labels)
+    return IncidenceMinor(J.d, J.m, tuple(masks))
 
 
 def size_stats(J: IncidenceMinor) -> SizeStats:

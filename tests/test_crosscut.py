@@ -25,19 +25,20 @@ class TestEnumerateFaces:
     def test_km_top_layer_one_face_per_row(self, km):
         layer = enumerate_faces(km, 3)
         assert len(layer) == 6
-        assert layer.faces == tuple(sorted(km.supports()))
+        assert layer.faces == tuple(sorted(km.row_masks))
 
     def test_single_row_pairs(self):
         J = IncidenceMinor.from_rows(2, 3, [(1, 2, 3)])
-        assert enumerate_faces(J, 1).faces == ((1, 2), (1, 3), (2, 3))
+        assert enumerate_faces(J, 1).faces == (0b011, 0b101, 0b110)
 
     def test_union_deduplicates(self):
         J = IncidenceMinor.from_rows(2, 4, [(1, 2, 3), (2, 3, 4)])
-        assert enumerate_faces(J, 1).faces == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+        # {1,2} {1,3} {2,3} {2,4} {3,4}, ascending as masks
+        assert enumerate_faces(J, 1).faces == (0b0011, 0b0101, 0b0110, 0b1010, 0b1100)
 
     def test_empty_face_layer(self):
         J = IncidenceMinor.from_rows(2, 3, [(1, 2)])
-        assert enumerate_faces(J, -1).faces == ((),)
+        assert enumerate_faces(J, -1).faces == (0,)
         void = IncidenceMinor(0, 0, ())
         assert enumerate_faces(void, -1).faces == ()
 
@@ -83,6 +84,12 @@ class TestBoundaryMatrix:
     def test_layer_mismatch(self, km):
         with pytest.raises(ValueError):
             boundary_matrix(enumerate_faces(km, 3), enumerate_faces(km, 1))
+
+    def test_missing_lower_face_rejected(self):
+        upper = enumerate_faces(IncidenceMinor.from_rows(2, 3, [(1, 2, 3)]), 2)
+        lower = enumerate_faces(IncidenceMinor.from_rows(2, 3, [(1, 2), (1, 3)]), 1)
+        with pytest.raises(ValueError, match=r"missing face \{2, 3\}"):
+            boundary_matrix(upper, lower)
 
 
 class TestCompleteness:

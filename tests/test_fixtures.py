@@ -136,13 +136,6 @@ class TestDeleteMinor:
         with pytest.raises(IndexError):
             delete_minor(km, cols=[0])
 
-    def test_labels_kept(self, km):
-        labeled = cube_km()
-        labeled = type(labeled)(3, 8, labeled.row_masks, tuple("abcdef"), tuple("12345678"))
-        J = delete_minor(labeled, rows=[1], cols=[8])
-        assert J.row_labels == tuple("bcdef")
-        assert J.col_labels == tuple("1234567")
-
 
 class TestFixtureSpec:
     def test_dispatch(self):

@@ -143,6 +143,59 @@ class TestValidate:
         assert decide(3, extract_incidence(reduced)) is False
 
 
+def _two_outside_points():
+    # (2,0,0) violates x <= 1 only; (0,1/2,-1) violates -z <= 0 only
+    base = geometric_cube_km()
+    return GeometricInstance(3, base.points + ((2, 0, 0), (0, Fraction(1, 2), -1)), base.halfspaces)
+
+
+def _flat_cube():
+    points = tuple((p[0], p[1], Fraction(0)) for p in geometric_cube_km().points)
+    return GeometricInstance(3, points, geometric_cube_km().halfspaces)
+
+
+TIGHT_EVERYWHERE = "tight on every point, so the bodies cannot both be full-dimensional"
+FACET_SPAN = "tight points affinely span dimension {}, expected 2"
+
+
+class TestGoldenIssues:
+    """Pinned, in order, every (check, subject, detail) of two failing instances."""
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (
+                _two_outside_points,
+                [
+                    (CHECK_CONTAINMENT, "point 9", "violates halfspace 4 (2 > 1)"),
+                    (CHECK_CONTAINMENT, "point 10", "violates halfspace 1 (1 > 0)"),
+                    (CHECK_VERTEX, "point 9", "tight halfspace normals span dimension 2, expected 3"),
+                    (CHECK_VERTEX, "point 10", "tight halfspace normals span dimension 1, expected 3"),
+                ],
+            ),
+            (
+                _flat_cube,
+                [
+                    (CHECK_DISTINCT, "point 5", "duplicates point 4"),
+                    (CHECK_DISTINCT, "point 6", "duplicates point 3"),
+                    (CHECK_DISTINCT, "point 7", "duplicates point 2"),
+                    (CHECK_DISTINCT, "point 8", "duplicates point 1"),
+                    (CHECK_FULL_DIMENSION, "points", "affine hull has dimension 2, expected 3"),
+                    (CHECK_FULL_DIMENSION, "halfspace 1", TIGHT_EVERYWHERE),
+                    (CHECK_FACET, "halfspace 2", FACET_SPAN.format(1)),
+                    (CHECK_FACET, "halfspace 3", FACET_SPAN.format(1)),
+                    (CHECK_FACET, "halfspace 4", FACET_SPAN.format(1)),
+                    (CHECK_FACET, "halfspace 5", FACET_SPAN.format(1)),
+                    (CHECK_FACET, "halfspace 6", FACET_SPAN.format(-1)),
+                ],
+            ),
+        ],
+    )
+    def test_issue_list(self, make, expected):
+        issues = validate_instance(make()).issues
+        assert [(i.check, i.subject, i.detail) for i in issues] == expected
+
+
 class TestScalingInvariance:
     @given(st.fractions(min_value=Fraction(1, 7), max_value=Fraction(9)))
     def test_extraction_invariant(self, lam):

@@ -145,11 +145,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             IncidenceMinor.from_rows(2, 3, [(1, 4)])
 
-    def test_labels_survive_transpose_not_equality(self, km):
-        labeled = IncidenceMinor(km.d, km.n, km.row_masks, row_labels=tuple("abcdef"))
-        assert labeled == km
-        assert transpose(labeled).col_labels == tuple("abcdef")
-
 
 class TestPermutationEquivalence:
     def test_permuted_km(self, km):
