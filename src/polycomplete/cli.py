@@ -18,7 +18,6 @@ from . import fixtures
 from .crosscut import SIDE_AUTO, SIDE_DUAL, SIDE_PRIMAL, analyze
 from .geometry import (
     GeometryFormatError,
-    extract_incidence,
     parse_geometry,
     serialize_geometry,
     validate_instance,
@@ -130,7 +129,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if not args.force:
             print("error: validation failed (use --force to extract anyway)", file=sys.stderr)
             return EXIT_INVALID
-    return _write_output(args.output, serialize_incidence(extract_incidence(inst)))
+    return _write_output(args.output, serialize_incidence(report.incidence))
 
 
 def _parse_fixture_tokens(tokens: list[str]) -> fixtures.FixtureSpec:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 from .gf2 import Gf2Matrix
 from .incidence import IncidenceMinor, SizeStats, size_stats, transpose
@@ -111,8 +110,6 @@ class CompletenessReport:
     d: int
     side: str
     stats: SizeStats
-    analyzed_rows: int
-    analyzed_max_row: int
     boundary_d_shape: tuple[int, int]
     boundary_d_rank: int
     boundary_d1_shape: tuple[int, int]
@@ -123,26 +120,12 @@ class CompletenessReport:
     def homology_dim(self) -> int:
         return self.boundary_d1_kernel - self.boundary_d_rank
 
-    def size_bound_ok(self) -> bool:
-        """Shapes against binom(s,d+1)m x binom(s,d)m and the next one down."""
-        s, m, d = self.analyzed_max_row, self.analyzed_rows, self.d
-        rows_d, cols_d = self.boundary_d_shape
-        rows_d1, cols_d1 = self.boundary_d1_shape
-        return (
-            cols_d <= comb(s, d + 1) * m
-            and rows_d <= comb(s, d) * m
-            and cols_d1 <= comb(s, d) * m
-            and rows_d1 <= comb(s, max(d - 1, 0)) * m
-        )
-
 
 def _empty_report(d: int, side: str, stats: SizeStats, complete: bool) -> CompletenessReport:
     return CompletenessReport(
         d=d,
         side=side,
         stats=stats,
-        analyzed_rows=0,
-        analyzed_max_row=0,
         boundary_d_shape=(0, 0),
         boundary_d_rank=0,
         boundary_d1_shape=(0, 0),
@@ -184,8 +167,6 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
         d=d,
         side=side,
         stats=stats,
-        analyzed_rows=M.m,
-        analyzed_max_row=max((mask.bit_count() for mask in M.row_masks), default=0),
         boundary_d_shape=(bd_d.nrows, bd_d.ncols),
         boundary_d_rank=rank_d,
         boundary_d1_shape=(bd_d1.nrows, bd_d1.ncols),

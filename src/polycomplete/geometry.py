@@ -9,7 +9,9 @@ rather than from a combinatorial matrix one has to take on faith.
 The validation here covers exactly the Gaussian-elimination-expressible
 preconditions of the geometric completeness problem: containment, full
 dimension, every point a vertex of the outer body, every halfspace a
-facet of the inner hull.  No linear programming is done.
+facet of the inner hull.  No linear programming is done.  The validation
+report carries the incidence matrix its checks read, so a caller that
+extracts after validating writes exactly the matrix that was checked.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class Halfspace:
         if all(a == 0 for a in self.normal):
             raise ValueError("halfspace normal must not be identically zero")
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return self.evaluate(point) <= self.offset
-
     def is_tight(self, point: Sequence[Fraction]) -> bool:
         return self.evaluate(point) == self.offset
 
@@ -96,21 +95,14 @@ class ValidationIssue:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The failed checks, in order, and the incidence matrix they read."""
+
     issues: tuple[ValidationIssue, ...]
+    incidence: IncidenceMinor
 
     @property
     def ok(self) -> bool:
         return not self.issues
-
-    def failures(self, check: str) -> tuple[ValidationIssue, ...]:
-        return tuple(issue for issue in self.issues if issue.check == check)
-
-    def failed_checks(self) -> tuple[str, ...]:
-        seen = []
-        for issue in self.issues:
-            if issue.check not in seen:
-                seen.append(issue.check)
-        return tuple(seen)
 
 
 def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -160,7 +152,7 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
     spanning dimension d, (d) every halfspace tight on points that
     affinely span dimension d-1.  Duplicate points are rejected up front.
     Tightness is evaluated once, by extract_incidence; checks (b) to (d)
-    read its row masks.
+    read its row masks, and the report carries that matrix.
     """
     issues: list[ValidationIssue] = []
     seen: dict[RationalPoint, int] = {}
@@ -174,12 +166,13 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
 
     for i, p in enumerate(inst.points, start=1):
         for k, h in enumerate(inst.halfspaces, start=1):
-            if not h.contains(p):
+            value = h.evaluate(p)
+            if value > h.offset:
                 issues.append(
                     ValidationIssue(
                         CHECK_CONTAINMENT,
                         f"point {i}",
-                        f"violates halfspace {k} ({h.evaluate(p)} > {h.offset})",
+                        f"violates halfspace {k} ({value} > {h.offset})",
                     )
                 )
 
@@ -192,7 +185,8 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
                 f"affine hull has dimension {rank}, expected {inst.d}",
             )
         )
-    tight = extract_incidence(inst).row_masks
+    incidence = extract_incidence(inst)
+    tight = incidence.row_masks
     every_point = (1 << len(inst.points)) - 1
     for k, mask in enumerate(tight, start=1):
         if inst.points and mask == every_point:
@@ -227,7 +221,7 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
                 )
             )
 
-    return ValidationReport(tuple(issues))
+    return ValidationReport(tuple(issues), incidence)
 
 
 def extract_incidence(inst: GeometricInstance) -> IncidenceMinor:

@@ -54,9 +54,8 @@ class IncidenceMinor:
             raise ValueError("dimension d must be nonnegative")
         if self.n < 0:
             raise ValueError("column count n must be nonnegative")
-        limit = 1 << self.n
         for i, mask in enumerate(self.row_masks):
-            if not 0 <= mask < limit:
+            if mask < 0 or mask >> self.n:
                 raise ValueError(f"row {i + 1}: bits outside columns 1..{self.n}")
 
     @property
@@ -97,25 +96,6 @@ class IncidenceMinor:
             masks.append(mask)
         return cls(d, n, tuple(masks))
 
-    @classmethod
-    def from_bits(cls, d: int, bits: Iterable[Iterable[int]]) -> "IncidenceMinor":
-        """Build from a row-major iterable of 0/1 entries (rows equal length)."""
-        masks = []
-        n = None
-        for row in bits:
-            row = list(row)
-            if n is None:
-                n = len(row)
-            elif len(row) != n:
-                raise ValueError("rows have unequal length")
-            mask = 0
-            for j, b in enumerate(row):
-                if b not in (0, 1):
-                    raise ValueError(f"entry {b!r} is not 0 or 1")
-                mask |= b << j
-            masks.append(mask)
-        return cls(d, n or 0, tuple(masks))
-
 
 def transpose(J: IncidenceMinor) -> IncidenceMinor:
     """The n x m transpose with the same d; an involution."""
@@ -131,13 +111,13 @@ def transpose(J: IncidenceMinor) -> IncidenceMinor:
 def size_stats(J: IncidenceMinor) -> SizeStats:
     """Max row support and max column support."""
     s = max((mask.bit_count() for mask in J.row_masks), default=0)
-    col_counts = [0] * J.n
+    col_counts: dict[int, int] = {}  # keyed by the column's bit
     for mask in J.row_masks:
         while mask:
             low = mask & -mask
-            col_counts[low.bit_length() - 1] += 1
+            col_counts[low] = col_counts.get(low, 0) + 1
             mask ^= low
-    s_col = max(col_counts, default=0)
+    s_col = max(col_counts.values(), default=0)
     return SizeStats(s=s, s_col=s_col)
 
 

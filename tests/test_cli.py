@@ -2,7 +2,7 @@ import pytest
 
 from polycomplete.cli import main
 from polycomplete.fixtures import delete_minor, geometric_cube_km
-from polycomplete.geometry import GeometricInstance, serialize_geometry
+from polycomplete.geometry import GeometricInstance, extract_incidence, serialize_geometry
 from polycomplete.incidence import IncidenceMinor, parse_incidence, serialize_incidence
 
 
@@ -147,6 +147,28 @@ class TestVerify:
         assert code == 2
 
 
+class TestHugeWidthNoRows:
+    """A column count far beyond memory with no rows is a plain incomplete minor."""
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        path = tmp_path / "wide.inc"
+        path.write_text("3 0 100000000000000000000\n")
+        return str(path)
+
+    def test_check(self, capsys, wide_file):
+        code, out, err = run(capsys, "check", wide_file)
+        assert (code, out.splitlines()[0], err) == (1, "no", "")
+
+    def test_certify(self, capsys, wide_file):
+        assert run(capsys, "certify", wide_file) == (1, "EMPTY\n", "")
+
+    def test_verify_empty(self, capsys, wide_file, tmp_path):
+        cert = tmp_path / "cert.txt"
+        cert.write_text("EMPTY\n")
+        assert run(capsys, "verify", wide_file, str(cert)) == (0, "accept\n", "")
+
+
 class TestExtract:
     def test_cube(self, capsys, tmp_path, km):
         geom = tmp_path / "cube.geom"
@@ -173,7 +195,7 @@ class TestExtract:
         geom.write_text(serialize_geometry(broken))
         code, out, _ = run(capsys, "extract", "--force", str(geom))
         assert code == 0
-        assert parse_incidence(out).m == 5
+        assert parse_incidence(out) == extract_incidence(broken)
 
     def test_empty_instance(self, capsys, tmp_path):
         geom = tmp_path / "empty.geom"

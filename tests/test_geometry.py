@@ -31,6 +31,15 @@ from polycomplete.geometry import (
 from oracle import permutation_equivalent
 
 
+def failures(report, check):
+    """The report's issues under one check, in report order."""
+    return [i for i in report.issues if i.check == check]
+
+
+def failed_checks(report):
+    return {i.check for i in report.issues}
+
+
 def drop_halfspace(inst, k):
     return GeometricInstance(
         inst.d, inst.points, tuple(h for i, h in enumerate(inst.halfspaces, start=1) if i != k)
@@ -87,40 +96,40 @@ class TestValidate:
         # dropping z <= 1 leaves vertices 5..8 on only two tight planes
         report = validate_instance(drop_halfspace(geometric_cube_km(), 6))
         assert not report.ok
-        assert {i.subject for i in report.failures(CHECK_VERTEX)} == {
+        assert {i.subject for i in failures(report, CHECK_VERTEX)} == {
             "point 5",
             "point 6",
             "point 7",
             "point 8",
         }
-        assert report.failed_checks() == (CHECK_VERTEX,)
+        assert failed_checks(report) == {CHECK_VERTEX}
 
     def test_translated_halfspace_fails_facet_check(self):
         base = geometric_cube_km()
         moved = base.halfspaces[:5] + (Halfspace((0, 0, 1), 2),)
         report = validate_instance(GeometricInstance(3, base.points, moved))
-        assert {i.subject for i in report.failures(CHECK_FACET)} == {"halfspace 6"}
+        assert {i.subject for i in failures(report, CHECK_FACET)} == {"halfspace 6"}
         # the four top vertices also lose their third tight plane
-        assert len(report.failures(CHECK_VERTEX)) == 4
+        assert len(failures(report, CHECK_VERTEX)) == 4
 
     def test_outside_point_fails_containment(self):
         base = geometric_cube_km()
         inst = GeometricInstance(3, base.points + ((2, 0, 0),), base.halfspaces)
         report = validate_instance(inst)
-        assert any(i.subject == "point 9" for i in report.failures(CHECK_CONTAINMENT))
+        assert any(i.subject == "point 9" for i in failures(report, CHECK_CONTAINMENT))
 
     def test_flat_points_fail_full_dimension(self):
         # all eight points squashed onto z = 0
         points = tuple((p[0], p[1], Fraction(0)) for p in geometric_cube_km().points)
         report = validate_instance(GeometricInstance(3, points, geometric_cube_km().halfspaces))
-        assert report.failures(CHECK_DISTINCT)
-        assert report.failures(CHECK_FULL_DIMENSION)
+        assert failures(report, CHECK_DISTINCT)
+        assert failures(report, CHECK_FULL_DIMENSION)
 
     def test_duplicate_points_rejected(self):
         base = geometric_cube_km()
         inst = GeometricInstance(3, base.points + (base.points[0],), base.halfspaces)
         report = validate_instance(inst)
-        assert [i.subject for i in report.failures(CHECK_DISTINCT)] == ["point 9"]
+        assert [i.subject for i in failures(report, CHECK_DISTINCT)] == ["point 9"]
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +139,8 @@ class TestValidate:
     def test_deleted_vertex_fails_facet_check_on_simplicial_fixtures(self, inst):
         reduced = GeometricInstance(inst.d, inst.points[1:], inst.halfspaces)
         report = validate_instance(reduced)
-        assert report.failures(CHECK_FACET)
+        assert failures(report, CHECK_FACET)
+        assert report.incidence == extract_incidence(reduced)
 
     def test_deleted_cube_vertex_is_a_valid_incomplete_instance(self, km):
         # cube facets keep 3 affinely spanning tight points, so validation
@@ -192,8 +202,10 @@ class TestGoldenIssues:
         ],
     )
     def test_issue_list(self, make, expected):
-        issues = validate_instance(make()).issues
-        assert [(i.check, i.subject, i.detail) for i in issues] == expected
+        inst = make()
+        report = validate_instance(inst)
+        assert [(i.check, i.subject, i.detail) for i in report.issues] == expected
+        assert report.incidence == extract_incidence(inst)
 
 
 class TestScalingInvariance:
