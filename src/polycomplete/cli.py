@@ -11,25 +11,15 @@ Exit codes are a contract for shell pipelines: 0 = yes/accept/success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
 from . import fixtures
 from .crosscut import SIDE_AUTO, SIDE_DUAL, SIDE_PRIMAL, analyze
-from .geometry import (
-    GeometryFormatError,
-    parse_geometry,
-    serialize_geometry,
-    validate_instance,
-)
-from .incidence import IncidenceFormatError, parse_incidence, serialize_incidence
-from .pulling import (
-    CertificateFormatError,
-    find_certificate,
-    parse_certificate,
-    serialize_certificate,
-    verify_certificate,
-)
+from .geometry import parse_geometry, serialize_geometry, validate_instance
+from .incidence import parse_incidence, serialize_incidence
+from .pulling import find_certificate, parse_certificate, serialize_certificate, verify_certificate
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -43,7 +33,7 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise IncidenceFormatError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _write_output(path: Optional[str], text: str) -> int:
@@ -64,11 +54,8 @@ def _fail(message: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        J = parse_incidence(_read_input(args.file))
-        report = analyze(J.d, J, side=args.side)
-    except (IncidenceFormatError, ValueError) as exc:
-        return _fail(str(exc))
+    J = parse_incidence(_read_input(args.file))
+    report = analyze(J.d, J, side=args.side)
     answer = "yes" if report.complete else "no"
     dr, dc = report.boundary_d_shape
     lr, lc = report.boundary_d1_shape
@@ -88,13 +75,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        J = parse_incidence(_read_input(args.file))
-        if J.d < 1:
-            return _fail("certificates are defined for d >= 1 only")
-        cert = find_certificate(J.d, J)
-    except (IncidenceFormatError, ValueError) as exc:
-        return _fail(str(exc))
+    J = parse_incidence(_read_input(args.file))
+    if J.d < 1:
+        return _fail("certificates are defined for d >= 1 only")
+    cert = find_certificate(J.d, J)
     if cert is None:
         print("COMPLETE")
         return EXIT_YES
@@ -103,24 +87,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        J = parse_incidence(_read_input(args.file))
-        if J.d < 1:
-            return _fail("certificates are defined for d >= 1 only")
-        cert = parse_certificate(_read_input(args.certificate))
-        accepted = verify_certificate(J.d, J, cert)
-    except (IncidenceFormatError, CertificateFormatError, ValueError) as exc:
-        return _fail(str(exc))
+    J = parse_incidence(_read_input(args.file))
+    if J.d < 1:
+        return _fail("certificates are defined for d >= 1 only")
+    cert = parse_certificate(_read_input(args.certificate))
+    accepted = verify_certificate(J.d, J, cert)
     print("accept" if accepted else "reject")
     return EXIT_YES if accepted else EXIT_NO
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        inst = parse_geometry(_read_input(args.file))
-    except (GeometryFormatError, ValueError) as exc:
-        return _fail(str(exc))
-    report = validate_instance(inst)
+    report = validate_instance(parse_geometry(_read_input(args.file)))
     if report.ok:
         print("validation: all checks passed", file=sys.stderr)
     else:
@@ -132,49 +109,53 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return _write_output(args.output, serialize_incidence(report.incidence))
 
 
-def _parse_fixture_tokens(tokens: list[str]) -> fixtures.FixtureSpec:
-    if not tokens:
-        raise ValueError("missing fixture family")
-    family = tokens[0].lower().replace("_", "-")
-    rest = tokens[1:]
+GEN_MAX_D = 6
+GEN_MAX_N = 12
 
-    def int_params(count: int) -> list[int]:
-        if len(rest) != count:
-            raise ValueError(f"family {family!r} takes {count} integer parameter(s)")
-        try:
-            return [int(t) for t in rest]
-        except ValueError:
-            raise ValueError(f"parameters for {family!r} must be integers") from None
-
-    if family == fixtures.FAMILY_CUBE_KM:
-        int_params(0)
-        return fixtures.FixtureSpec(fixtures.FAMILY_CUBE_KM)
-    if family == fixtures.FAMILY_SIMPLEX:
-        (d,) = int_params(1)
-        return fixtures.FixtureSpec(fixtures.FAMILY_SIMPLEX, d=d)
-    if family == fixtures.FAMILY_CROSSPOLYTOPE:
-        (d,) = int_params(1)
-        return fixtures.FixtureSpec(fixtures.FAMILY_CROSSPOLYTOPE, d=d)
-    if family == fixtures.FAMILY_CYCLIC:
-        d, n = int_params(2)
-        return fixtures.FixtureSpec(fixtures.FAMILY_CYCLIC, d=d, n=n)
-    if family == fixtures.FAMILY_PRISM:
-        return fixtures.FixtureSpec(fixtures.FAMILY_PRISM, inner=_parse_fixture_tokens(rest))
-    raise ValueError(f"unknown fixture family {family!r}")
+# The whole `gen` grammar: family -> (integer parameter count, incidence
+# generator, geometry generator).  The parameters are d, then n.
+GEN_FAMILIES = {
+    "cube-km": (0, fixtures.cube_km, fixtures.geometric_cube_km),
+    "simplex": (1, fixtures.simplex_incidence, fixtures.geometric_simplex),
+    "crosspolytope": (1, fixtures.crosspolytope_incidence, fixtures.geometric_crosspolytope),
+    "cyclic": (2, fixtures.cyclic_incidence, fixtures.geometric_cyclic),
+}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    tokens = [t.lower().replace("_", "-") for t in args.family]
+    prisms = 0
+    while prisms < len(tokens) and tokens[prisms] == "prism":
+        prisms += 1
+    if prisms == len(tokens):
+        raise ValueError("missing fixture family")
+    family, rest = tokens[prisms], args.family[prisms + 1 :]
+    if family not in GEN_FAMILIES:
+        raise ValueError(f"unknown fixture family {family!r}")
+    count, incidence, geometry = GEN_FAMILIES[family]
+    if len(rest) != count:
+        raise ValueError(f"family {family!r} takes {count} integer parameter(s)")
     try:
-        spec = _parse_fixture_tokens(args.family)
-        if args.geometry:
-            text = serialize_geometry(fixtures.geometric_fixture(spec))
-        else:
-            text = serialize_incidence(fixtures.incidence_fixture(spec))
-    except ValueError as exc:
-        return _fail(str(exc))
-    return _write_output(args.output, text)
+        params = [int(t) for t in rest]
+    except ValueError:
+        raise ValueError(f"parameters for {family!r} must be integers") from None
+    if args.geometry and prisms:
+        raise ValueError("no geometric coordinates for fixture family 'prism'")
+    # Desk-scale caps: each prism doubles the columns and adds a dimension.
+    for name, value, cap in zip("dn", params, (GEN_MAX_D, GEN_MAX_N)):
+        if not 0 <= value <= cap:
+            raise ValueError(f"fixture {name}={value} outside 0..{cap}")
+    if args.geometry:
+        return _write_output(args.output, serialize_geometry(geometry(*params)))
+    J = incidence(*params)
+    if J.d + prisms > GEN_MAX_D:
+        raise ValueError(f"fixture d={J.d + prisms} outside 0..{GEN_MAX_D}")
+    for _ in range(prisms):
+        J = fixtures.prism(J)
+    return _write_output(args.output, serialize_incidence(J))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polycomplete",
@@ -224,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return _fail(str(exc))
 
 
 def run():  # console-script entry point

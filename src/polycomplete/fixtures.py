@@ -1,5 +1,7 @@
-"""Deterministic generators of complete incidence matrices and geometric
-instances for canonical polytopes, plus minor deletion for no-instances.
+"""Deterministic generators of complete incidence matrices (as row masks)
+and exact-rational geometric instances of canonical polytopes, the prism
+over a matrix, and minor deletion for no-instances.  This module holds
+generators only; the `gen` command's grammar and size caps live in `cli`.
 
 The vertex numbering of the 3-cube is pinned to the Klee-Minty labeling
 (facet supports 1234, 1278, 1458, 2367, 3456, 5678) so that the cube,
@@ -9,24 +11,12 @@ the same matrix can serve as golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .geometry import GeometricInstance, Halfspace, _echelon
+from .geometry import GeometricInstance, Halfspace
 from .incidence import IncidenceMinor
-
-FAMILY_SIMPLEX = "simplex"
-FAMILY_CUBE_KM = "cube-km"
-FAMILY_CROSSPOLYTOPE = "crosspolytope"
-FAMILY_CYCLIC = "cyclic"
-FAMILY_PRISM = "prism"
-
-# FixtureSpec-driven generation stays at desk scale; direct calls to
-# cyclic_incidence may go larger (timing smoke tests use big polygons).
-MAX_SPEC_D = 6
-MAX_SPEC_N = 12
 
 KM_FACETS = (
     (1, 2, 3, 4),
@@ -36,21 +26,6 @@ KM_FACETS = (
     (3, 4, 5, 6),
     (5, 6, 7, 8),
 )
-
-
-@dataclass(frozen=True)
-class FixtureSpec:
-    """A named fixture family with its parameters.
-
-    family is one of simplex, cube-km, crosspolytope, cyclic, prism;
-    prism wraps an inner spec.  Parameters are kept to small documented
-    ranges (d <= 6, n <= 12).
-    """
-
-    family: str
-    d: Optional[int] = None
-    n: Optional[int] = None
-    inner: Optional["FixtureSpec"] = None
 
 
 def cube_km() -> IncidenceMinor:
@@ -113,12 +88,8 @@ def prism(J: IncidenceMinor) -> IncidenceMinor:
     per row F of J.  Dimension goes up by one.
     """
     n = J.n
-    bottom = list(range(1, n + 1))
-    top = list(range(n + 1, 2 * n + 1))
-    rows = [bottom, top]
-    for sup in J.supports():
-        rows.append(list(sup) + [v + n for v in sup])
-    return IncidenceMinor.from_rows(J.d + 1, 2 * n, rows)
+    full = (1 << n) - 1
+    return IncidenceMinor(J.d + 1, 2 * n, (full, full << n, *(r | r << n for r in J.row_masks)))
 
 
 def delete_minor(J: IncidenceMinor, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> IncidenceMinor:
@@ -134,47 +105,13 @@ def delete_minor(J: IncidenceMinor, rows: Iterable[int] = (), cols: Iterable[int
     for j in drop_cols:
         if not 1 <= j <= J.n:
             raise IndexError(f"column {j} outside 1..{J.n}")
-    keep_cols = [j for j in range(1, J.n + 1) if j not in drop_cols]
-    masks = []
-    for i in range(1, J.m + 1):
-        if i in drop_rows:
-            continue
-        mask = 0
-        for new_j, old_j in enumerate(keep_cols):
-            mask |= J.entry(i, old_j) << new_j
-        masks.append(mask)
-    return IncidenceMinor(J.d, len(keep_cols), tuple(masks))
-
-
-def incidence_fixture(spec: FixtureSpec) -> IncidenceMinor:
-    """Dispatch a FixtureSpec to its incidence matrix generator."""
-    _check_spec_ranges(spec)
-    if spec.family == FAMILY_SIMPLEX:
-        return simplex_incidence(_need(spec.d, "simplex needs d"))
-    if spec.family == FAMILY_CUBE_KM:
-        return cube_km()
-    if spec.family == FAMILY_CROSSPOLYTOPE:
-        return crosspolytope_incidence(_need(spec.d, "crosspolytope needs d"))
-    if spec.family == FAMILY_CYCLIC:
-        return cyclic_incidence(_need(spec.d, "cyclic needs d"), _need(spec.n, "cyclic needs n"))
-    if spec.family == FAMILY_PRISM:
-        if spec.inner is None:
-            raise ValueError("prism needs an inner fixture")
-        return prism(incidence_fixture(spec.inner))
-    raise ValueError(f"unknown fixture family {spec.family!r}")
-
-
-def _need(value, message):
-    if value is None:
-        raise ValueError(message)
-    return value
-
-
-def _check_spec_ranges(spec: FixtureSpec):
-    if spec.d is not None and not 0 <= spec.d <= MAX_SPEC_D:
-        raise ValueError(f"fixture d={spec.d} outside 0..{MAX_SPEC_D}")
-    if spec.n is not None and not 0 <= spec.n <= MAX_SPEC_N:
-        raise ValueError(f"fixture n={spec.n} outside 0..{MAX_SPEC_N}")
+    keep = [j - 1 for j in range(1, J.n + 1) if j not in drop_cols]  # old bit of each new column
+    masks = tuple(
+        sum((r >> old & 1) << new for new, old in enumerate(keep))
+        for i, r in enumerate(J.row_masks, start=1)
+        if i not in drop_rows
+    )
+    return IncidenceMinor(J.d, len(keep), masks)
 
 
 # --- geometric instances -------------------------------------------------
@@ -237,67 +174,32 @@ def geometric_crosspolytope(d: int) -> GeometricInstance:
     return GeometricInstance(d, tuple(points), tuple(halfspaces))
 
 
-def _kernel_vector(rows: list[list[Fraction]], ncols: int) -> Optional[tuple[list[Fraction], int]]:
-    """One kernel vector of a rational matrix plus the kernel dimension.
-
-    Returns None for a trivial kernel.  The vector sets the first free
-    variable to 1 and the other free variables to 0, and back-substitutes
-    through the echelon rows for the pivot variables.
-    """
-    echelon, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    vec = [F0] * ncols
-    vec[free[0]] = F1
-    for row, col in zip(reversed(echelon), reversed(pivots)):
-        vec[col] = -sum((x * v for x, v in zip(row[col + 1 :], vec[col + 1 :])), F0) / row[col]
-    return vec, len(free)
-
-
-def _hyperplane_through(points: list[tuple[Fraction, ...]]) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
-    """The unique hyperplane a.x = b through the points, or None."""
-    if not points:
-        return None
-    d = len(points[0])
-    rows = [[*p, Fraction(-1)] for p in points]
-    kernel = _kernel_vector(rows, d + 1)
-    if kernel is None:
-        return None
-    vec, dim = kernel
-    if dim != 1 or all(x == 0 for x in vec[:d]):
-        return None
-    return tuple(vec[:d]), vec[d]
-
-
 def geometric_cyclic(d: int, n: int) -> GeometricInstance:
-    """Moment-curve coordinates for C_d(n) with facet halfspaces solved
-    exactly from the Gale facets."""
-    combinatorial = cyclic_incidence(d, n)
-    points = [tuple(Fraction(t) ** (i + 1) for i in range(d)) for t in range(1, n + 1)]
+    """Moment-curve coordinates p(t) = (t, t^2, ..., t^d), t = 1..n, for
+    C_d(n), with one halfspace per Gale facet in closed form.
+
+    A hyperplane a.x = b contains p(t) exactly when t is a root of the
+    polynomial a_1 t + ... + a_d t^d - b.  For a facet with vertices
+    t_1..t_d that polynomial is a multiple of the monic prod (t - t_i) =
+    t^d + c_{d-1} t^{d-1} + ... + c_0, so the facet hyperplane is unique:
+    normal (c_1, ..., c_{d-1}, 1) and offset -c_0, which is nonzero since
+    every t_i >= 1.  It is scaled to offset 1, then negated if the lowest
+    vertex off the facet violates it.  Because the hyperplane is unique,
+    this equals what solving the d point equations for (a, b) by
+    elimination gives under the same scaling and orientation.
+    """
+    points = tuple(tuple(Fraction(t) ** (i + 1) for i in range(d)) for t in range(1, n + 1))
     halfspaces = []
-    for sup in combinatorial.supports():
-        plane = _hyperplane_through([points[v - 1] for v in sup])
-        if plane is None:
-            raise ValueError(f"degenerate facet {sup} on the moment curve")
-        normal, offset = plane
-        outside = next(p for j, p in enumerate(points, start=1) if j not in sup)
-        if sum((a * x for a, x in zip(normal, outside)), F0) > offset:
-            normal = tuple(-a for a in normal)
-            offset = -offset
-        halfspaces.append(Halfspace(normal, offset))
-    return GeometricInstance(d, tuple(points), tuple(halfspaces))
-
-
-def geometric_fixture(spec: FixtureSpec) -> GeometricInstance:
-    """Dispatch a FixtureSpec to rational coordinates and halfspaces."""
-    _check_spec_ranges(spec)
-    if spec.family == FAMILY_SIMPLEX:
-        return geometric_simplex(_need(spec.d, "simplex needs d"))
-    if spec.family == FAMILY_CUBE_KM:
-        return geometric_cube_km()
-    if spec.family == FAMILY_CROSSPOLYTOPE:
-        return geometric_crosspolytope(_need(spec.d, "crosspolytope needs d"))
-    if spec.family == FAMILY_CYCLIC:
-        return geometric_cyclic(_need(spec.d, "cyclic needs d"), _need(spec.n, "cyclic needs n"))
-    raise ValueError(f"no geometric coordinates for fixture family {spec.family!r}")
+    for mask in cyclic_incidence(d, n).row_masks:
+        coeffs = [1]  # of prod (t - t_i), constant term first
+        for t in range(1, n + 1):
+            if mask >> (t - 1) & 1:
+                coeffs = [a - t * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        offset = -coeffs[0]
+        normal = tuple(Fraction(c, offset) for c in coeffs[1:])
+        outside = points[((mask + 1) & ~mask).bit_length() - 1]  # lowest vertex off the facet
+        if sum(a * x for a, x in zip(normal, outside)) > 1:
+            halfspaces.append(Halfspace(tuple(-a for a in normal), -F1))
+        else:
+            halfspaces.append(Halfspace(normal, F1))
+    return GeometricInstance(d, points, tuple(halfspaces))

@@ -62,27 +62,6 @@ class IncidenceMinor:
     def m(self) -> int:
         return len(self.row_masks)
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry in row i, column j (both 1-based)."""
-        if not (1 <= i <= self.m and 1 <= j <= self.n):
-            raise IndexError(f"entry ({i},{j}) outside {self.m}x{self.n}")
-        return (self.row_masks[i - 1] >> (j - 1)) & 1
-
-    def support(self, i: int) -> tuple[int, ...]:
-        """Sorted vertex labels of row i (1-based)."""
-        if not 1 <= i <= self.m:
-            raise IndexError(f"row {i} outside 1..{self.m}")
-        mask = self.row_masks[i - 1]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length())
-            mask ^= low
-        return tuple(out)
-
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.support(i) for i in range(1, self.m + 1))
-
     @classmethod
     def from_rows(cls, d: int, n: int, rows: Iterable[Iterable[int]]) -> "IncidenceMinor":
         """Build from an iterable of vertex-label subsets of {1..n}."""

@@ -16,6 +16,11 @@ from typing import Sequence
 from polycomplete.incidence import IncidenceMinor
 
 
+def supports(J: IncidenceMinor) -> tuple[tuple[int, ...], ...]:
+    """The sorted 1-based vertex labels of each row, read bit by bit."""
+    return tuple(tuple(j + 1 for j in range(J.n) if mask >> j & 1) for mask in J.row_masks)
+
+
 class OracleSizeError(ValueError):
     """The instance is past the fixture-scale cap of a brute-force oracle."""
 
@@ -64,7 +69,7 @@ def homology_all_ranks(J: IncidenceMinor, max_faces: int = 10_000) -> BettiProfi
     off b~_k = dim ker(boundary_k) - rank(boundary_{k+1}).
     """
     faces: set[frozenset[int]] = set()
-    for sup in J.supports():
+    for sup in supports(J):
         sup = list(sup)
         for size in range(len(sup) + 1):
             for combo in combinations(sup, size):
@@ -112,7 +117,7 @@ def pulling_triangulation_by_flags(I: IncidenceMinor, max_tuples: int = 2_000_00
     distinct.
     """
     d = I.d
-    rows = [frozenset(sup) for sup in I.supports()]
+    rows = [frozenset(sup) for sup in supports(I)]
     if len(rows) ** d > max_tuples:
         raise OracleSizeError(f"{len(rows)}^{d} tuples exceed the cap {max_tuples}")
     found = set()

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from polycomplete.cli import main
@@ -220,7 +222,73 @@ class TestExtract:
         assert f"error: cannot write {out_path}: " in err
 
 
+# `gen` cases: arguments after "gen" -> (exit code, the first 16 hex digits
+# of stdout's SHA-256 or "" for no output, stderr).  The generated dimension
+# counts one per prism and is capped at 6 before any prism is built.
+GEN_CASES = {
+    "cube-km": (0, "a9c71d8f88d90854", ""),
+    "CUBE_KM": (0, "a9c71d8f88d90854", ""),
+    "simplex 4": (0, "82c40868c947c4d6", ""),
+    "crosspolytope 3": (0, "765566641fbccada", ""),
+    "cyclic 4 8": (0, "41bd386435d9a735", ""),
+    "cyclic 6 12": (0, "f9806334abb30949", ""),
+    "prism cube-km": (0, "ab1d6a3a5f9825e6", ""),
+    "prism prism prism cube-km": (0, "11ceae896e422294", ""),
+    "PRISM cyclic 2 4": (0, "7d4094ae9fdaa50a", ""),
+    "prism simplex 5": (0, "d38edeaec536dc7f", ""),
+    "simplex 9": (2, "", "error: fixture d=9 outside 0..6\n"),
+    "simplex -1": (2, "", "error: fixture d=-1 outside 0..6\n"),
+    "cyclic 4 20": (2, "", "error: fixture n=20 outside 0..12\n"),
+    "cyclic 7 20": (2, "", "error: fixture d=7 outside 0..6\n"),
+    "simplex": (2, "", "error: family 'simplex' takes 1 integer parameter(s)\n"),
+    "cyclic 4": (2, "", "error: family 'cyclic' takes 2 integer parameter(s)\n"),
+    "cube-km 3": (2, "", "error: family 'cube-km' takes 0 integer parameter(s)\n"),
+    "simplex x": (2, "", "error: parameters for 'simplex' must be integers\n"),
+    "cyclic 4 8.0": (2, "", "error: parameters for 'cyclic' must be integers\n"),
+    "dodecahedron": (2, "", "error: unknown fixture family 'dodecahedron'\n"),
+    "prism": (2, "", "error: missing fixture family\n"),
+    "prism prism": (2, "", "error: missing fixture family\n"),
+    "prism simplex 9": (2, "", "error: fixture d=9 outside 0..6\n"),
+    "prism cyclic 4 20": (2, "", "error: fixture n=20 outside 0..12\n"),
+    "prism dodecahedron": (2, "", "error: unknown fixture family 'dodecahedron'\n"),
+    "prism simplex": (2, "", "error: family 'simplex' takes 1 integer parameter(s)\n"),
+    "simplex 0": (2, "", "error: simplex dimension must be at least 1\n"),
+    "cyclic 3 3": (2, "", "error: cyclic polytope needs n > d >= 2\n"),
+    "crosspolytope 0": (2, "", "error: cross-polytope dimension must be at least 1\n"),
+    "prism prism prism prism cube-km": (2, "", "error: fixture d=7 outside 0..6\n"),  # past the prism cap
+    "prism prism simplex 5": (2, "", "error: fixture d=7 outside 0..6\n"),  # past the prism cap
+    "prism prism prism prism prism prism prism cyclic 3 3": (2, "", "error: cyclic polytope needs n > d >= 2\n"),
+    "prism prism prism prism cyclic 4 20": (2, "", "error: fixture n=20 outside 0..12\n"),
+    "--geometry cube-km": (0, "e25c48273c2f7997", ""),
+    "--geometry CUBE_KM": (0, "e25c48273c2f7997", ""),
+    "--geometry simplex 3": (0, "a6b9f0ab1f0ee28a", ""),
+    "--geometry crosspolytope 3": (0, "7b57636b5bdeb93d", ""),
+    "--geometry cyclic 4 8": (0, "792f8a94600429a2", ""),
+    "--geometry prism cube-km": (2, "", "error: no geometric coordinates for fixture family 'prism'\n"),
+    "--geometry prism simplex 9": (2, "", "error: no geometric coordinates for fixture family 'prism'\n"),
+    "--geometry simplex 9": (2, "", "error: fixture d=9 outside 0..6\n"),
+    "--geometry cyclic 3 13": (2, "", "error: fixture n=13 outside 0..12\n"),
+    "--geometry prism": (2, "", "error: missing fixture family\n"),
+    "--geometry dodecahedron": (2, "", "error: unknown fixture family 'dodecahedron'\n"),
+    "--geometry cyclic 2 2": (2, "", "error: cyclic polytope needs n > d >= 2\n"),
+    "--geometry simplex x": (2, "", "error: parameters for 'simplex' must be integers\n"),
+    "--geometry prism prism prism prism cube-km": (2, "", "error: no geometric coordinates for fixture family 'prism'\n"),
+}
+
+
 class TestGen:
+    @pytest.mark.parametrize("args", GEN_CASES)
+    def test_table(self, capsys, args):
+        code, out, err = run(capsys, "gen", *args.split())
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16] if out else ""
+        assert (code, digest, err) == GEN_CASES[args]
+
+    def test_prism_tower_past_recursion_limit(self, capsys):
+        # Deeper than the interpreter's recursion limit: the tower is counted,
+        # not parsed recursively, and refused before any prism is built.
+        code, out, err = run(capsys, "gen", *["prism"] * 1100, "cube-km")
+        assert (code, out, err) == (2, "", "error: fixture d=1103 outside 0..6\n")
+
     def test_cyclic(self, capsys):
         code, out, _ = run(capsys, "gen", "cyclic", "4", "8")
         assert code == 0

@@ -28,7 +28,7 @@ from polycomplete.geometry import (
     validate_instance,
 )
 
-from oracle import permutation_equivalent
+from oracle import permutation_equivalent, supports
 
 
 def failures(report, check):
@@ -52,7 +52,7 @@ class TestExtract:
     def test_simplex_complement_of_identity(self):
         J = extract_incidence(geometric_simplex(3))
         assert (J.d, J.m, J.n) == (3, 4, 4)
-        assert all(len(sup) == 3 for sup in J.supports())
+        assert all(len(sup) == 3 for sup in supports(J))
         assert permutation_equivalent(J, simplex_incidence(3))
 
     def test_crosspolytope(self):
@@ -65,7 +65,7 @@ class TestExtract:
         center = tuple(Fraction(1, 2) for _ in range(3))
         inst = GeometricInstance(3, base.points + (center,), base.halfspaces)
         J = extract_incidence(inst)
-        assert all(J.entry(i, 9) == 0 for i in range(1, J.m + 1))
+        assert all(mask >> 8 & 1 == 0 for mask in J.row_masks)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
