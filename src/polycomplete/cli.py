@@ -213,3 +213,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run():  # console-script entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # python -m polycomplete.cli
+    run()

@@ -1,10 +1,18 @@
-"""Exact-rational geometric front end.
+"""Exact geometric front end.
 
-Incidence of a vertex with a facet is the equality a.v = b, so this
-module works entirely in exact rational arithmetic: the equality test
-would be meaningless in floating point, and the trustworthiness of the
-extracted incidence matrix is the whole reason to start from coordinates
-rather than from a combinatorial matrix one has to take on faith.
+Incidence of a vertex with a facet is the equality a.v = b, so nothing
+here is rounded: the equality test would be meaningless in floating
+point, and the trustworthiness of the extracted incidence matrix is the
+whole reason to start from coordinates rather than from a combinatorial
+matrix one has to take on faith.
+
+Rationals are scaled to integers once per object: a halfspace a.x <= b
+as L(b, -a) and a point x as (D, Dx), L and D > 0 the lcms of their
+denominators, so that their dot product is the integer slack LD(b - a.x).
+Ranks are taken modulo the prime 2^61 - 1, which can only lose rank; each
+expected rank is also an upper bound, so reaching it proves the check,
+and only a shortfall is recomputed exactly, for the message.  An affine
+rank is the rank of the points' homogeneous forms, minus one.
 
 The validation here covers exactly the Gaussian-elimination-expressible
 preconditions of the geometric completeness problem: containment, full
@@ -18,6 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .incidence import IncidenceMinor
@@ -29,6 +40,8 @@ CHECK_CONTAINMENT = "containment"
 CHECK_FULL_DIMENSION = "full-dimension"
 CHECK_VERTEX = "vertex"
 CHECK_FACET = "facet"
+
+PRIME = (1 << 61) - 1
 
 
 class GeometryFormatError(ValueError):
@@ -45,6 +58,12 @@ def _to_fractions(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
+def _homogeneous(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """(D, D*v) in integers, D > 0 the lcm of the denominators."""
+    D = lcm(*(v.denominator for v in values))
+    return (D, *(v.numerator * (D // v.denominator) for v in values))
+
+
 @dataclass(frozen=True)
 class Halfspace:
     """Closed halfspace normal . x <= offset with rational coefficients."""
@@ -58,8 +77,19 @@ class Halfspace:
         if all(a == 0 for a in self.normal):
             raise ValueError("halfspace normal must not be identically zero")
 
-    def is_tight(self, point: Sequence[Fraction]) -> bool:
-        return self.evaluate(point) == self.offset
+    @cached_property
+    def integer_form(self) -> tuple[int, ...]:
+        """L*(offset, -normal) in integers, L > 0 the lcm of the denominators."""
+        _, b, *a = _homogeneous((self.offset, *self.normal))
+        return (b, *(-x for x in a))
+
+    def slack(self, point: Sequence[int]) -> int:
+        """L*D*(offset - normal . x) for a point in homogeneous form (D, D*x)."""
+        return sum(map(mul, self.integer_form, point))
+
+    def is_tight(self, point: Sequence[int]) -> bool:
+        """Whether a point in homogeneous form (D, D*x) lies on the hyperplane."""
+        return self.slack(point) == 0
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         return sum((a * x for a, x in zip(self.normal, point)), Fraction(0))
@@ -85,6 +115,11 @@ class GeometricInstance:
             if len(h.normal) != self.d:
                 raise ValueError(f"halfspace {k} has {len(h.normal)} coefficients, expected {self.d}")
 
+    @cached_property
+    def homogeneous_points(self) -> tuple[tuple[int, ...], ...]:
+        """Each point x as integers (D, D*x), D > 0 the lcm of its denominators."""
+        return tuple(map(_homogeneous, self.points))
+
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -105,41 +140,44 @@ class ValidationReport:
         return not self.issues
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact forward elimination: the echelon rows and their pivot columns.
-
-    The i-th returned row is zero left of pivot column i and nonzero at it.
-    """
-    mat = [list(row) for row in rows if any(x != 0 for x in row)]
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational (or integer) matrix by exact Gaussian elimination."""
+    mat = [list(row) for row in rows if any(row)]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         pivot_row = mat[rank]
-        inv = pivot_row[col]
         for i in range(rank + 1, len(mat)):
-            factor = mat[i][col] / inv
+            factor = Fraction(mat[i][col], pivot_row[col])
             if factor:
                 mat[i] = [x - factor * y for x, y in zip(mat[i], pivot_row)]
-        pivots.append(col)
-    return mat[: len(pivots)], pivots
+        rank += 1
+    return rank
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    return len(_echelon(rows)[0])
+def _certified_rank(rows: Sequence[Sequence[int]], bound: int) -> int:
+    """Rank of integer rows whose rank cannot exceed bound.
 
-
-def affine_rank(points: Sequence[RationalPoint]) -> int:
-    """Dimension of the affine hull (0 for a single point, -1 for none)."""
-    if not points:
-        return -1
-    base = points[0]
-    return rational_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
+    Rank modulo PRIME never exceeds rank over Q, so reaching bound modulo
+    PRIME proves it; only a shortfall is recomputed exactly.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row scaled to 1 there)
+    for row in rows:
+        if len(basis) == bound:
+            break
+        row = [x % PRIME for x in row]
+        for col, b in basis:
+            f = row[col]
+            if f:
+                row = [(x - f * y) % PRIME for x, y in zip(row, b)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            inv = pow(row[col], -1, PRIME)
+            basis.append((col, [x * inv % PRIME for x in row]))
+    return bound if len(basis) == bound else rational_rank(rows)
 
 
 def validate_instance(inst: GeometricInstance) -> ValidationReport:
@@ -164,19 +202,19 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
         else:
             seen[p] = i
 
-    for i, p in enumerate(inst.points, start=1):
+    homogeneous = inst.homogeneous_points
+    for i, (p, hp) in enumerate(zip(inst.points, homogeneous), start=1):
         for k, h in enumerate(inst.halfspaces, start=1):
-            value = h.evaluate(p)
-            if value > h.offset:
+            if h.slack(hp) < 0:
                 issues.append(
                     ValidationIssue(
                         CHECK_CONTAINMENT,
                         f"point {i}",
-                        f"violates halfspace {k} ({value} > {h.offset})",
+                        f"violates halfspace {k} ({h.evaluate(p)} > {h.offset})",
                     )
                 )
 
-    rank = affine_rank(inst.points)
+    rank = _certified_rank(homogeneous, inst.d + 1) - 1
     if rank != inst.d:
         issues.append(
             ValidationIssue(
@@ -199,8 +237,8 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
             )
 
     for i in range(len(inst.points)):
-        normals = [h.normal for h, mask in zip(inst.halfspaces, tight) if mask >> i & 1]
-        span = rational_rank(normals)
+        normals = [h.integer_form[1:] for h, mask in zip(inst.halfspaces, tight) if mask >> i & 1]
+        span = _certified_rank(normals, inst.d)
         if span != inst.d:
             issues.append(
                 ValidationIssue(
@@ -211,7 +249,8 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
             )
 
     for k, mask in enumerate(tight, start=1):
-        rank = affine_rank([p for j, p in enumerate(inst.points) if mask >> j & 1])
+        # the tight points lie in the halfspace's hyperplane: rank at most d
+        rank = _certified_rank([p for j, p in enumerate(homogeneous) if mask >> j & 1], inst.d) - 1
         if rank != inst.d - 1:
             issues.append(
                 ValidationIssue(
@@ -227,17 +266,13 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
 def extract_incidence(inst: GeometricInstance) -> IncidenceMinor:
     """Incidence matrix of the instance: entry 1 iff normal . point = offset.
 
-    Exact equality in rational arithmetic, no tolerance.  Rows follow the
-    halfspace order, columns the point order, d is copied over.
+    Exact equality, no tolerance: the integer slack of the pair is zero.
+    Rows follow the halfspace order, columns the point order, d is copied
+    over.
     """
-    masks = []
-    for h in inst.halfspaces:
-        mask = 0
-        for j, p in enumerate(inst.points):
-            if h.is_tight(p):
-                mask |= 1 << j
-        masks.append(mask)
-    return IncidenceMinor(inst.d, len(inst.points), tuple(masks))
+    points = inst.homogeneous_points
+    masks = (sum(1 << j for j, p in enumerate(points) if h.is_tight(p)) for h in inst.halfspaces)
+    return IncidenceMinor(inst.d, len(points), tuple(masks))
 
 
 def _parse_rationals(line: str, expected: int, lineno: int) -> tuple[Fraction, ...]:
@@ -247,6 +282,8 @@ def _parse_rationals(line: str, expected: int, lineno: int) -> tuple[Fraction, .
     values = []
     for part in parts:
         try:
+            if "e" in part or "E" in part:  # Fraction reads exponents: 1e9999999 has ten million digits
+                raise ValueError(part)
             values.append(Fraction(part))
         except (ValueError, ZeroDivisionError):
             raise GeometryFormatError(f"bad rational {part!r}", lineno) from None

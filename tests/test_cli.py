@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +359,17 @@ class TestPipelines:
         cert.write_text(out)
         code, out, _ = run(capsys, "verify", str(minor), str(cert))
         assert code == 0 and out.strip() == "accept"
+
+
+def test_module_entry_point_runs_main(tmp_path, km):
+    # exit 0 means "yes", so a module run that did nothing would read as an answer
+    minor = tmp_path / "minor.inc"
+    minor.write_text(serialize_incidence(delete_minor(km, rows=[3])))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycomplete.cli", "check", str(minor)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[0] == "no"

@@ -1,9 +1,12 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polycomplete import geometry
 from polycomplete.fixtures import (
     crosspolytope_incidence,
     cyclic_incidence,
@@ -27,6 +30,7 @@ from polycomplete.geometry import (
     serialize_geometry,
     validate_instance,
 )
+from polycomplete.incidence import serialize_incidence
 
 from oracle import permutation_equivalent, supports
 
@@ -162,6 +166,7 @@ def _flat_cube():
 
 TIGHT_EVERYWHERE = "tight on every point, so the bodies cannot both be full-dimensional"
 FACET_SPAN = "tight points affinely span dimension {}, expected 2"
+FACET_SPAN_2D = "tight points affinely span dimension {}, expected 1"
 
 
 class TestGoldenIssues:
@@ -202,6 +207,117 @@ class TestGoldenIssues:
         report = validate_instance(inst)
         assert [(i.check, i.subject, i.detail) for i in report.issues] == expected
         assert report.incidence == extract_incidence(inst)
+
+
+P = geometry.PRIME  # the modulus of the rank checks
+
+
+def _p_triangle(points=((0, 0), (P, 0), (0, 1))):
+    """The triangle (0,0), (P,0), (0,1): modulo P its points (0,0) and (P,0)
+    coincide, and the hypotenuse x + P*y <= P has normal (1, 0)."""
+    halfspaces = (Halfspace((0, -1), 0), Halfspace((-1, 0), 0), Halfspace((1, P), P))
+    return GeometricInstance(2, points, halfspaces)
+
+
+class TestModularRankFallback:
+    """Ranks modulo P can fall short of the rank over Q; the exact rank decides."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+        exact = geometry.rational_rank
+        monkeypatch.setattr(geometry, "rational_rank", lambda rows: calls.append(1) or exact(rows))
+        return calls
+
+    def test_valid_triangle_passes(self, exact_calls):
+        # short modulo P: the full-dimension check, the vertex check at (0,1)
+        # and the facet check on y >= 0
+        report = validate_instance(_p_triangle())
+        assert report.ok
+        assert len(exact_calls) == 3
+        assert [bin(mask) for mask in report.incidence.row_masks] == ["0b11", "0b101", "0b110"]
+
+    def test_invalid_variant_reports_the_exact_rank(self, exact_calls):
+        report = validate_instance(_p_triangle(((0, 0), (P, 0))))
+        assert [(i.check, i.subject, i.detail) for i in report.issues] == [
+            (CHECK_FULL_DIMENSION, "points", "affine hull has dimension 1, expected 2"),
+            (CHECK_FULL_DIMENSION, "halfspace 1", TIGHT_EVERYWHERE),
+            (CHECK_FACET, "halfspace 2", FACET_SPAN_2D.format(0)),
+            (CHECK_FACET, "halfspace 3", FACET_SPAN_2D.format(0)),
+        ]
+        assert exact_calls
+
+
+def _damaged_instances(count, seed):
+    """Seeded instances, each a small fixture with one or two kinds of damage."""
+    rng = random.Random(seed)
+    bases = [
+        geometric_cube_km(),
+        geometric_simplex(3),
+        geometric_crosspolytope(3),
+        geometric_crosspolytope(4),
+        geometric_cyclic(2, 6),
+        geometric_cyclic(3, 7),
+        geometric_cyclic(4, 8),
+    ]
+    small = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3) if n]
+
+    def drop_point(inst):
+        i = rng.randrange(len(inst.points))
+        return GeometricInstance(inst.d, inst.points[:i] + inst.points[i + 1 :], inst.halfspaces)
+
+    def drop_halfspace(inst):
+        k = rng.randrange(len(inst.halfspaces))
+        return GeometricInstance(inst.d, inst.points, inst.halfspaces[:k] + inst.halfspaces[k + 1 :])
+
+    def shift_offset(inst):
+        k = rng.randrange(len(inst.halfspaces))
+        h = inst.halfspaces[k]
+        moved = Halfspace(h.normal, h.offset + rng.choice(small))
+        return GeometricInstance(inst.d, inst.points, inst.halfspaces[:k] + (moved,) + inst.halfspaces[k + 1 :])
+
+    def point_outside(inst):
+        p = rng.choice(inst.points)
+        far = tuple(x * rng.choice((2, 3, Fraction(3, 2))) + rng.choice(small) for x in p)
+        return GeometricInstance(inst.d, inst.points + (far,), inst.halfspaces)
+
+    def duplicate_point(inst):
+        return GeometricInstance(inst.d, inst.points + (rng.choice(inst.points),), inst.halfspaces)
+
+    def flatten(inst):
+        axis = rng.randrange(inst.d)
+        flat = tuple(p[:axis] + (Fraction(0),) + p[axis + 1 :] if rng.random() < 0.5 else p for p in inst.points)
+        return GeometricInstance(inst.d, flat, inst.halfspaces)
+
+    def rescale_halfspace(inst):
+        k = rng.randrange(len(inst.halfspaces))
+        h, lam = inst.halfspaces[k], rng.choice(small)
+        scaled = Halfspace(tuple(lam * a for a in h.normal), lam * h.offset)
+        return GeometricInstance(inst.d, inst.points, inst.halfspaces[:k] + (scaled,) + inst.halfspaces[k + 1 :])
+
+    kinds = [drop_point, drop_halfspace, shift_offset, point_outside, duplicate_point, flatten, rescale_halfspace]
+    for _ in range(count):
+        inst = rng.choice(bases)
+        for damage in rng.sample(kinds, rng.randint(1, 2)):
+            inst = damage(inst)
+        yield inst
+
+
+class TestGoldenDamaged:
+    """Issue lists and extracted matrices over seeded damaged instances, pinned
+    by the SHA-256 of their text: any change to a check, its order, its
+    message or the matrix it reads changes the digest."""
+
+    def test_digest(self):
+        digest, failing = hashlib.sha256(), 0
+        for inst in _damaged_instances(400, 20260101):
+            report = validate_instance(inst)
+            failing += not report.ok
+            for issue in report.issues:
+                digest.update(f"{issue.check}\t{issue.subject}\t{issue.detail}\n".encode())
+            digest.update(serialize_incidence(report.incidence).encode())
+        assert failing == 351
+        assert digest.hexdigest() == "eeb1e56a8fd37ceaa63c495634488f17c4f19fa4d43aa27c5f0d5a7e49673b30"
 
 
 class TestScalingInvariance:
@@ -256,8 +372,19 @@ class TestTextFormat:
             "2 1 1\n0 x\n-1 0 0\n",
             "2 1 1\n0 0\n0 0 0\n",  # zero normal
             "1 1 1\n1/0\n1 1\n",
+            "1 2 2\n0\n1e3000000\n-1 0\n1 1\n",  # exponents: a 3-million-digit integer
+            "1 1 1\n0\n1E2 1\n",
+            "1 1 1\n2.5e-1\n1 1\n",
         ],
     )
     def test_parse_rejects(self, text):
         with pytest.raises(GeometryFormatError):
             parse_geometry(text)
+
+    def test_exponent_named_in_message(self):
+        with pytest.raises(GeometryFormatError, match=r"^line 3: bad rational '1e3000000'$"):
+            parse_geometry("1 2 2\n0\n1e3000000\n-1 0\n1 1\n")
+
+    def test_decimals_still_read(self):
+        inst = parse_geometry("1 2 2\n-0.5\n1.5\n-1 0.5\n1 1.5\n")
+        assert inst.points == ((Fraction(-1, 2),), (Fraction(3, 2),))
