@@ -14,7 +14,8 @@ complex is a two-point sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .gf2 import Gf2Matrix
@@ -38,10 +39,11 @@ class FaceLayer:
 
     k: int
     faces: tuple[Face, ...]
-    index: dict[Face, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {f: i for i, f in enumerate(self.faces)})
+    @cached_property
+    def index(self) -> dict[Face, int]:
+        """Position of each face in the layer."""
+        return {f: i for i, f in enumerate(self.faces)}
 
     def __len__(self) -> int:
         return len(self.faces)

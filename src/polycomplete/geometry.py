@@ -29,9 +29,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .incidence import IncidenceMinor
+from .incidence import FormatError, IncidenceMinor, read_header, text_lines
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -44,14 +44,8 @@ CHECK_FACET = "facet"
 PRIME = (1 << 61) - 1
 
 
-class GeometryFormatError(ValueError):
-    """Malformed geometry text.  Carries the 1-based offending line."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class GeometryFormatError(FormatError):
+    """Malformed geometry text."""
 
 
 def _to_fractions(values: Iterable) -> tuple[Fraction, ...]:
@@ -206,13 +200,11 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
     for i, (p, hp) in enumerate(zip(inst.points, homogeneous), start=1):
         for k, h in enumerate(inst.halfspaces, start=1):
             if h.slack(hp) < 0:
-                issues.append(
-                    ValidationIssue(
-                        CHECK_CONTAINMENT,
-                        f"point {i}",
-                        f"violates halfspace {k} ({h.evaluate(p)} > {h.offset})",
-                    )
-                )
+                try:
+                    values = f" ({h.evaluate(p)} > {h.offset})"
+                except ValueError:  # an integer past sys.get_int_max_str_digits()
+                    values = " (values too long to print)"
+                issues.append(ValidationIssue(CHECK_CONTAINMENT, f"point {i}", f"violates halfspace {k}{values}"))
 
     rank = _certified_rank(homogeneous, inst.d + 1) - 1
     if rank != inst.d:
@@ -297,24 +289,9 @@ def parse_geometry(text: str) -> GeometricInstance:
     d+1 rationals (halfspace normal, then offset).  Rationals are written
     as "num/den" or plain integers; '#' lines are comments.
     """
-    lines = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines:
-        raise GeometryFormatError("missing header line 'd p h'")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise GeometryFormatError("header must be three integers 'd p h'", lineno)
-    try:
-        d, p, h = (int(x) for x in parts)
-    except ValueError:
-        raise GeometryFormatError("header must be three integers 'd p h'", lineno) from None
-    if d < 0 or p < 0 or h < 0:
-        raise GeometryFormatError("header values must be nonnegative", lineno)
-    body = lines[1:]
+    lines = text_lines(text)
+    d, p, h = read_header(lines, "d p h", GeometryFormatError)
+    body = [(no, ln) for no, ln in lines if ln]
     if len(body) != p + h:
         raise GeometryFormatError(f"expected {p} point and {h} halfspace lines, found {len(body)}")
     points = [_parse_rationals(ln, d, no) for no, ln in body[:p]]
@@ -328,14 +305,10 @@ def parse_geometry(text: str) -> GeometricInstance:
     return GeometricInstance(d, tuple(points), tuple(halfspaces))
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def serialize_geometry(inst: GeometricInstance) -> str:
     lines = [f"{inst.d} {len(inst.points)} {len(inst.halfspaces)}"]
     for p in inst.points:
-        lines.append(" ".join(_format_rational(x) for x in p))
+        lines.append(" ".join(map(str, p)))
     for h in inst.halfspaces:
-        lines.append(" ".join(_format_rational(x) for x in (*h.normal, h.offset)))
+        lines.append(" ".join(map(str, (*h.normal, h.offset))))
     return "\n".join(lines) + "\n"

@@ -15,17 +15,49 @@ module provides the checkable entry path from coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
-class IncidenceFormatError(ValueError):
-    """Malformed incidence text.  Carries the 1-based offending line."""
+class FormatError(ValueError):
+    """Malformed input text.  Carries the 1-based offending line, if any."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class IncidenceFormatError(FormatError):
+    """Malformed incidence text."""
+
+
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The 1-based numbered, stripped lines of text that are not '#' comments."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line.startswith("#"):
+            yield lineno, line
+
+
+def read_header(lines: Iterator[tuple[int, str]], names: str, error: type[FormatError]) -> tuple[int, int, int]:
+    """The header, three nonnegative integers on the first nonblank line.
+
+    names ('d m n') names them in the messages; lines is left just past
+    the header.
+    """
+    for lineno, line in lines:
+        if line:
+            break
+    else:
+        raise error(f"missing header line '{names}'")
+    try:
+        a, b, c = map(int, line.split())
+    except ValueError:
+        raise error(f"header must be three integers '{names}'", lineno) from None
+    if a < 0 or b < 0 or c < 0:
+        raise error("header values must be nonnegative", lineno)
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -108,57 +140,31 @@ def parse_incidence(text: str) -> IncidenceMinor:
     lines are ignored, except that when n = 0 each data row is an empty
     line.
     """
-    header = None
-    data: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if header is None:
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise IncidenceFormatError("header must be three integers 'd m n'", lineno)
-            try:
-                d, m, n = (int(p) for p in parts)
-            except ValueError:
-                raise IncidenceFormatError("header must be three integers 'd m n'", lineno) from None
-            if d < 0 or m < 0 or n < 0:
-                raise IncidenceFormatError("header values must be nonnegative", lineno)
-            header = (d, m, n)
-            continue
-        if not line and header[2] > 0:
-            continue
-        data.append((lineno, raw.rstrip("\r\n")))
-    if header is None:
-        raise IncidenceFormatError("missing header line 'd m n'")
-    d, m, n = header
+    lines = text_lines(text)
+    d, m, n = read_header(lines, "d m n", IncidenceFormatError)
+    data = [(lineno, row) for lineno, row in lines if row or n == 0]
     if n == 0:
         # width-zero rows serialize as empty lines; trailing blanks beyond m
         # would be ambiguous, so drop surplus empties from the end only
-        while len(data) > m and data[-1][1].strip() == "":
+        while len(data) > m and not data[-1][1]:
             data.pop()
     if len(data) != m:
         raise IncidenceFormatError(f"expected {m} rows, found {len(data)}")
     masks = []
     for lineno, row in data:
-        row = row.strip()
         if len(row) != n:
             raise IncidenceFormatError(f"row has {len(row)} characters, expected {n}", lineno)
-        mask = 0
-        for j, ch in enumerate(row):
-            if ch == "1":
-                mask |= 1 << j
-            elif ch != "0":
-                raise IncidenceFormatError(f"character {ch!r} outside {{0,1,#}}", lineno)
-        masks.append(mask)
+        # int(..., 2) would also take '_', a sign, a 0b prefix and non-ASCII digits
+        rest = row.lstrip("01")
+        if rest:
+            raise IncidenceFormatError(f"character {rest[0]!r} outside {{0,1,#}}", lineno)
+        masks.append(int(row[::-1] or "0", 2))
     return IncidenceMinor(d, n, tuple(masks))
 
 
 def serialize_incidence(J: IncidenceMinor) -> str:
     """Emit the text format: LF line endings, no trailing spaces."""
-    lines = [f"{J.d} {J.m} {J.n}"]
-    for mask in J.row_masks:
-        lines.append("".join("1" if (mask >> j) & 1 else "0" for j in range(J.n)))
-    return "\n".join(lines) + "\n"
+    # bin() of the mask with a marker bit n ends in column 1; reversed, the
+    # digits after the marker are columns 1..n
+    rows = (bin(mask | 1 << J.n)[:2:-1] for mask in J.row_masks)
+    return "\n".join([f"{J.d} {J.m} {J.n}", *rows]) + "\n"

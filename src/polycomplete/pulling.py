@@ -22,12 +22,12 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional
 
-from .incidence import IncidenceMinor
+from .incidence import FormatError, IncidenceMinor, text_lines
 
 Simplex = tuple[int, ...]
 
 
-class CertificateFormatError(ValueError):
+class CertificateFormatError(FormatError):
     """Malformed certificate text or a ridge of the wrong size."""
 
 
@@ -229,8 +229,7 @@ def serialize_certificate(cert: PullingCertificate) -> str:
 
 
 def parse_certificate(text: str) -> PullingCertificate:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for _, ln in text_lines(text) if ln]
     if len(lines) != 1:
         raise CertificateFormatError("certificate must be a single line")
     tokens = lines[0].split()

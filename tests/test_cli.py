@@ -203,6 +203,24 @@ class TestExtract:
         assert code == 0
         assert parse_incidence(out) == extract_incidence(broken)
 
+    def test_force_with_values_too_long_to_print(self, capsys, tmp_path):
+        # N*N/3 has more digits than Python will turn into a string
+        N = 10**3999 + 1
+        geom = tmp_path / "long.geom"
+        geom.write_text(f"1 3 3\n0\n1\n{N}/3\n-1 0\n1 1\n{N} {N}\n")
+        issues = [
+            f"validation: check=containment point 3: violates halfspace 2 ({N}/3 > 1)",
+            "validation: check=containment point 3: violates halfspace 3 (values too long to print)",
+            "validation: check=vertex point 3: tight halfspace normals span dimension 0, expected 1",
+        ]
+        code, out, err = run(capsys, "extract", str(geom))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [*issues, "error: validation failed (use --force to extract anyway)"]
+        code, out, err = run(capsys, "extract", "--force", str(geom))
+        assert code == 0
+        assert err.splitlines() == issues
+        assert out == "1 3 3\n100\n010\n010\n"
+
     def test_empty_instance(self, capsys, tmp_path):
         geom = tmp_path / "empty.geom"
         geom.write_text("")

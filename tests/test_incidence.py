@@ -58,6 +58,11 @@ class TestParse:
         text = "# a comment\n\n2 3 3\n110\n# interior\n011\n\n101\n"
         assert parse_incidence(text) == parse_incidence(TRIANGLE_TEXT)
 
+    def test_width_zero_rows_are_blank_lines(self):
+        expected = IncidenceMinor(1, 0, (0, 0))
+        assert parse_incidence("1 2 0\n\n\n") == expected
+        assert parse_incidence("1 2 0\n\n# c\n\n\n\n") == expected  # surplus trailing blanks dropped
+
     def test_malformed_header(self):
         with pytest.raises(IncidenceFormatError):
             parse_incidence("2 3\n11\n01\n10\n")
@@ -87,6 +92,13 @@ class TestRoundTrip:
     @given(minors())
     def test_parse_serialize_identity(self, J):
         assert parse_incidence(serialize_incidence(J)) == J
+
+    def test_rows_wider_than_the_decimal_digit_limit(self):
+        # rows are read and written in base 2, which has no digit limit
+        text = "1 2 5000\n" + "10" * 2500 + "\n" + "0" * 4999 + "1\n"
+        J = parse_incidence(text)
+        assert J.row_masks[1] == 1 << 4999
+        assert serialize_incidence(J) == text
 
     def test_writer_format_exact(self):
         assert serialize_incidence(parse_incidence(KM_TEXT)) == KM_TEXT
