@@ -209,6 +209,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))
+    except MemoryError:
+        return _fail("out of memory")
 
 
 def run():  # console-script entry point

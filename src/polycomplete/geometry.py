@@ -9,10 +9,8 @@ matrix one has to take on faith.
 Rationals are scaled to integers once per object: a halfspace a.x <= b
 as L(b, -a) and a point x as (D, Dx), L and D > 0 the lcms of their
 denominators, so that their dot product is the integer slack LD(b - a.x).
-Ranks are taken modulo the prime 2^61 - 1, which can only lose rank; each
-expected rank is also an upper bound, so reaching it proves the check,
-and only a shortfall is recomputed exactly, for the message.  An affine
-rank is the rank of the points' homogeneous forms, minus one.
+Ranks are taken by one exact fraction-free elimination on those integers.
+An affine rank is the rank of the points' homogeneous forms, minus one.
 
 The validation here covers exactly the Gaussian-elimination-expressible
 preconditions of the geometric completeness problem: containment, full
@@ -27,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -40,8 +38,6 @@ CHECK_CONTAINMENT = "containment"
 CHECK_FULL_DIMENSION = "full-dimension"
 CHECK_VERTEX = "vertex"
 CHECK_FACET = "facet"
-
-PRIME = (1 << 61) - 1
 
 
 class GeometryFormatError(FormatError):
@@ -134,44 +130,35 @@ class ValidationReport:
         return not self.issues
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational (or integer) matrix by exact Gaussian elimination."""
-    mat = [list(row) for row in rows if any(row)]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot_row = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            factor = Fraction(mat[i][col], pivot_row[col])
-            if factor:
-                mat[i] = [x - factor * y for x, y in zip(mat[i], pivot_row)]
-        rank += 1
-    return rank
+def rational_rank(rows: Sequence[Sequence[int]], bound: int) -> int:
+    """Rank over Q of integer rows, or bound if the rank reaches it first.
 
-
-def _certified_rank(rows: Sequence[Sequence[int]], bound: int) -> int:
-    """Rank of integer rows whose rank cannot exceed bound.
-
-    Rank modulo PRIME never exceeds rank over Q, so reaching bound modulo
-    PRIME proves it; only a shortfall is recomputed exactly.
+    Fraction-free elimination: each row is reduced against the basis by
+    the integer combinations row*b[col] - row[col]*b, col the pivot of b,
+    and a row that survives is divided by the gcd of its entries before it
+    joins the basis.  The k-th basis row spans the one line in the span of
+    k input rows that vanishes on the k-1 earlier pivots, and it is that
+    line's primitive vector, so its entries are bounded by k x k minors of
+    the input, and each reduction step adds to a row at most the bit size
+    of one basis entry plus one.  Every integer stays polynomial in the
+    bit size of the input.
     """
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row scaled to 1 there)
+    basis: list[tuple[int, Sequence[int]]] = []  # (pivot column, primitive row)
     for row in rows:
         if len(basis) == bound:
             break
-        row = [x % PRIME for x in row]
         for col, b in basis:
             f = row[col]
             if f:
-                row = [(x - f * y) % PRIME for x, y in zip(row, b)]
+                p = b[col]
+                row = [x * p - f * y for x, y in zip(row, b)]
         col = next((c for c, x in enumerate(row) if x), None)
         if col is not None:
-            inv = pow(row[col], -1, PRIME)
-            basis.append((col, [x * inv % PRIME for x in row]))
-    return bound if len(basis) == bound else rational_rank(rows)
+            g = gcd(*row)
+            if g != 1:
+                row = [x // g for x in row]
+            basis.append((col, row))
+    return len(basis)
 
 
 def validate_instance(inst: GeometricInstance) -> ValidationReport:
@@ -206,7 +193,7 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
                     values = " (values too long to print)"
                 issues.append(ValidationIssue(CHECK_CONTAINMENT, f"point {i}", f"violates halfspace {k}{values}"))
 
-    rank = _certified_rank(homogeneous, inst.d + 1) - 1
+    rank = rational_rank(homogeneous, inst.d + 1) - 1
     if rank != inst.d:
         issues.append(
             ValidationIssue(
@@ -230,7 +217,7 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
 
     for i in range(len(inst.points)):
         normals = [h.integer_form[1:] for h, mask in zip(inst.halfspaces, tight) if mask >> i & 1]
-        span = _certified_rank(normals, inst.d)
+        span = rational_rank(normals, inst.d)
         if span != inst.d:
             issues.append(
                 ValidationIssue(
@@ -242,7 +229,7 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
 
     for k, mask in enumerate(tight, start=1):
         # the tight points lie in the halfspace's hyperplane: rank at most d
-        rank = _certified_rank([p for j, p in enumerate(homogeneous) if mask >> j & 1], inst.d) - 1
+        rank = rational_rank([p for j, p in enumerate(homogeneous) if mask >> j & 1], inst.d) - 1
         if rank != inst.d - 1:
             issues.append(
                 ValidationIssue(
@@ -274,7 +261,9 @@ def _parse_rationals(line: str, expected: int, lineno: int) -> tuple[Fraction, .
     values = []
     for part in parts:
         try:
-            if "e" in part or "E" in part:  # Fraction reads exponents: 1e9999999 has ten million digits
+            # Fraction also reads exponents (1e9999999 has ten million
+            # digits), '_' separators and non-ASCII digits
+            if "e" in part or "E" in part or "_" in part or not part.isascii():
                 raise ValueError(part)
             values.append(Fraction(part))
         except (ValueError, ZeroDivisionError):

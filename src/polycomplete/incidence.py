@@ -40,6 +40,16 @@ def text_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def decimal_int(token: str) -> int:
+    """The integer an ASCII decimal token '-?[0-9]+' writes; ValueError otherwise.
+
+    int() alone would also take a '+', '_' separators and non-ASCII digits.
+    """
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def read_header(lines: Iterator[tuple[int, str]], names: str, error: type[FormatError]) -> tuple[int, int, int]:
     """The header, three nonnegative integers on the first nonblank line.
 
@@ -52,7 +62,7 @@ def read_header(lines: Iterator[tuple[int, str]], names: str, error: type[Format
     else:
         raise error(f"missing header line '{names}'")
     try:
-        a, b, c = map(int, line.split())
+        a, b, c = map(decimal_int, line.split())
     except ValueError:
         raise error(f"header must be three integers '{names}'", lineno) from None
     if a < 0 or b < 0 or c < 0:

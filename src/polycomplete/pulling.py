@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional
 
-from .incidence import FormatError, IncidenceMinor, text_lines
+from .incidence import FormatError, IncidenceMinor, decimal_int, text_lines
 
 Simplex = tuple[int, ...]
 
@@ -75,29 +75,24 @@ def _validate_simplex(size: int, J: IncidenceMinor, vertices, what: str) -> Simp
 def is_pulling_facet(d: int, J: IncidenceMinor, candidate) -> bool:
     """Membership of a d-subset in the pulling complex of (d, J).
 
-    Mirrors the greedy check: precompute, for i = d..1, the rows
-    containing {vi, ..., vd}; then for i = 1..d pick the first such row F
-    (by row index) with vi = min(F1 & ... & F_{i-1} & F).  Runs in
-    O(dm) operations on the n-bit row masks.
+    Mirrors the greedy check: for i = 1..d pick the first row F (by row
+    index) that contains {vi, ..., vd} and has vi = min(F1 & ... &
+    F_{i-1} & F).  Runs in O(dm) operations on the n-bit row masks.
     """
     candidate = _validate_simplex(d, J, candidate, "candidate")
-    # containing_rows[i] = rows whose support includes {v_{i+1}, .., v_d}
-    containing_rows: list[list[int]] = [list(J.row_masks)]
-    need = 0
-    for v in reversed(candidate):
-        need |= 1 << (v - 1)
-        containing_rows.append([r for r in containing_rows[-1] if r & need == need])
-    containing_rows.reverse()  # index i (0-based) now matches v_{i+1}
-
+    need = sum(1 << (v - 1) for v in candidate)  # {v_i, .., v_d}
     current = -1  # every vertex
-    for i, v in enumerate(candidate):
-        for r in containing_rows[i]:
-            meet = current & r
-            if meet & -meet == 1 << (v - 1):
-                current = meet
-                break
+    for v in candidate:
+        bit = 1 << (v - 1)
+        for r in J.row_masks:
+            if r & need == need:
+                meet = current & r
+                if meet & -meet == bit:
+                    current = meet
+                    break
         else:
             return False
+        need ^= bit
     return True
 
 
@@ -229,19 +224,20 @@ def serialize_certificate(cert: PullingCertificate) -> str:
 
 
 def parse_certificate(text: str) -> PullingCertificate:
-    lines = [ln for _, ln in text_lines(text) if ln]
+    lines = [(lineno, ln) for lineno, ln in text_lines(text) if ln]
     if len(lines) != 1:
         raise CertificateFormatError("certificate must be a single line")
-    tokens = lines[0].split()
+    [(lineno, line)] = lines
+    tokens = line.split()
     if tokens[0] == "EMPTY" and len(tokens) == 1:
         return PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
     if tokens[0] == "RIDGE":
         try:
-            vertices = tuple(int(t) for t in tokens[1:])
+            vertices = tuple(map(decimal_int, tokens[1:]))
         except ValueError:
-            raise CertificateFormatError("ridge vertices must be integers") from None
+            raise CertificateFormatError("ridge vertices must be integers", lineno) from None
         try:
             return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, vertices)
         except ValueError as exc:
-            raise CertificateFormatError(str(exc)) from None
-    raise CertificateFormatError(f"unknown certificate {lines[0]!r}")
+            raise CertificateFormatError(str(exc), lineno) from None
+    raise CertificateFormatError(f"unknown certificate {line!r}", lineno)

@@ -137,6 +137,24 @@ def pulling_triangulation_by_flags(I: IncidenceMinor, max_tuples: int = 2_000_00
     return frozenset(found)
 
 
+def rank_over_q(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a rational (or integer) matrix by Gaussian elimination on Fractions."""
+    mat = [list(row) for row in rows if any(row)]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pivot_row = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            factor = Fraction(mat[i][col], pivot_row[col])
+            if factor:
+                mat[i] = [x - factor * y for x, y in zip(mat[i], pivot_row)]
+        rank += 1
+    return rank
+
+
 def _solve_hyperplane(points: Sequence[Sequence[Fraction]]):
     """Unique hyperplane a.x = b through the points, or None (own solver)."""
     if not points:

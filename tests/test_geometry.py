@@ -32,7 +32,7 @@ from polycomplete.geometry import (
 )
 from polycomplete.incidence import serialize_incidence
 
-from oracle import permutation_equivalent, supports
+from oracle import permutation_equivalent, rank_over_q, supports
 
 
 def failures(report, check):
@@ -209,7 +209,7 @@ class TestGoldenIssues:
         assert report.incidence == extract_incidence(inst)
 
 
-P = geometry.PRIME  # the modulus of the rank checks
+P = (1 << 61) - 1  # a prime: modulo P the triangle below loses rank
 
 
 def _p_triangle(points=((0, 0), (P, 0), (0, 1))):
@@ -220,24 +220,15 @@ def _p_triangle(points=((0, 0), (P, 0), (0, 1))):
 
 
 class TestModularRankFallback:
-    """Ranks modulo P can fall short of the rank over Q; the exact rank decides."""
+    """Coordinates of 2^61 and more, on which a rank taken modulo P falls
+    short of the rank over Q in three checks; the ranks must be exact."""
 
-    @pytest.fixture
-    def exact_calls(self, monkeypatch):
-        calls = []
-        exact = geometry.rational_rank
-        monkeypatch.setattr(geometry, "rational_rank", lambda rows: calls.append(1) or exact(rows))
-        return calls
-
-    def test_valid_triangle_passes(self, exact_calls):
-        # short modulo P: the full-dimension check, the vertex check at (0,1)
-        # and the facet check on y >= 0
+    def test_valid_triangle_passes(self):
         report = validate_instance(_p_triangle())
         assert report.ok
-        assert len(exact_calls) == 3
         assert [bin(mask) for mask in report.incidence.row_masks] == ["0b11", "0b101", "0b110"]
 
-    def test_invalid_variant_reports_the_exact_rank(self, exact_calls):
+    def test_invalid_variant_reports_the_exact_rank(self):
         report = validate_instance(_p_triangle(((0, 0), (P, 0))))
         assert [(i.check, i.subject, i.detail) for i in report.issues] == [
             (CHECK_FULL_DIMENSION, "points", "affine hull has dimension 1, expected 2"),
@@ -245,7 +236,37 @@ class TestModularRankFallback:
             (CHECK_FACET, "halfspace 2", FACET_SPAN_2D.format(0)),
             (CHECK_FACET, "halfspace 3", FACET_SPAN_2D.format(0)),
         ]
-        assert exact_calls
+
+
+def _random_integer_matrices(count, seed):
+    """Seeded (rows, bound) cases: planted dependencies, zero rows, entries
+    up to 10^40, bounds below and above the rank, empty and zero-width."""
+    rng = random.Random(seed)
+    yield [], 0
+    yield [], 3
+    yield [()], 1
+    yield [(), ()], 2
+    for _ in range(count):
+        ncols = rng.randint(1, 6)
+        size = 10 ** rng.choice((1, 2, 5, 20, 40))
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append((0,) * ncols)
+            elif kind < 0.5 and rows:
+                # an integer combination of up to three earlier rows
+                picks = [rng.choice(rows) for _ in range(rng.randint(1, 3))]
+                coeffs = [rng.randint(-size, size) for _ in picks]
+                rows.append(tuple(sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(ncols)))
+            else:
+                rows.append(tuple(rng.randint(-size, size) for _ in range(ncols)))
+        yield rows, rng.randint(0, ncols + 1)
+
+
+def test_rank_matches_the_fraction_reference():
+    for rows, bound in _random_integer_matrices(2000, seed=9):
+        assert geometry.rational_rank(rows, bound) == min(rank_over_q(rows), bound), (rows, bound)
 
 
 def _damaged_instances(count, seed):
