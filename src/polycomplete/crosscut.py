@@ -15,7 +15,6 @@ complex is a two-point sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .gf2 import Gf2Matrix
@@ -40,11 +39,6 @@ class FaceLayer:
     k: int
     faces: tuple[Face, ...]
 
-    @cached_property
-    def index(self) -> dict[Face, int]:
-        """Position of each face in the layer."""
-        return {f: i for i, f in enumerate(self.faces)}
-
     def __len__(self) -> int:
         return len(self.faces)
 
@@ -64,7 +58,11 @@ def enumerate_faces(J: IncidenceMinor, k: int) -> FaceLayer:
     seen: set[Face] = set()
     for row in J.row_masks:
         if row.bit_count() >= k + 1:
-            bits = [1 << j for j in range(row.bit_length()) if row >> j & 1]
+            bits = []
+            while row:
+                low = row & -row
+                bits.append(low)
+                row ^= low
             seen.update(map(sum, combinations(bits, k + 1)))
     return FaceLayer(k, tuple(sorted(seen)))
 
@@ -80,7 +78,7 @@ def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
     """
     if upper.k != lower.k + 1:
         raise ValueError(f"layer mismatch: upper k={upper.k}, lower k={lower.k}")
-    index = lower.index
+    index = {f: i for i, f in enumerate(lower.faces)}
     cols = []
     for face in upper.faces:
         col = 0
@@ -112,28 +110,15 @@ class CompletenessReport:
     d: int
     side: str
     stats: SizeStats
-    boundary_d_shape: tuple[int, int]
-    boundary_d_rank: int
-    boundary_d1_shape: tuple[int, int]
-    boundary_d1_kernel: int
-    complete: bool
+    boundary_d_shape: tuple[int, int] = (0, 0)
+    boundary_d_rank: int = 0
+    boundary_d1_shape: tuple[int, int] = (0, 0)
+    boundary_d1_kernel: int = 0
+    complete: bool = False
 
     @property
     def homology_dim(self) -> int:
         return self.boundary_d1_kernel - self.boundary_d_rank
-
-
-def _empty_report(d: int, side: str, stats: SizeStats, complete: bool) -> CompletenessReport:
-    return CompletenessReport(
-        d=d,
-        side=side,
-        stats=stats,
-        boundary_d_shape=(0, 0),
-        boundary_d_rank=0,
-        boundary_d1_shape=(0, 0),
-        boundary_d1_kernel=0,
-        complete=complete,
-    )
 
 
 def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessReport:
@@ -142,7 +127,8 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     side selects which matrix the homology is computed on: "primal" is J
     itself, "dual" its transpose (same answer either way), "auto" picks
     the smaller problem by comparing max row and column support, ties
-    toward primal.
+    toward primal.  One boundary matrix is alive at a time: the d-layer
+    and its boundary are released before the (d-2)-layer is built.
     """
     if d < 0:
         raise ValueError("dimension d must be nonnegative")
@@ -152,26 +138,26 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     if d == 0:
         # not covered by the homology criterion: a point is complete iff
         # exactly its one vertex is listed (extrapolated convention)
-        return _empty_report(d, SIDE_PRIMAL, stats, complete=J.n == 1)
+        return CompletenessReport(d, SIDE_PRIMAL, stats, complete=J.n == 1)
     if J.m == 0 or J.n == 0:
-        return _empty_report(d, SIDE_PRIMAL if side != SIDE_DUAL else SIDE_DUAL, stats, complete=False)
+        return CompletenessReport(d, SIDE_DUAL if side == SIDE_DUAL else SIDE_PRIMAL, stats)
     if side == SIDE_AUTO:
         side = SIDE_PRIMAL if stats.s <= stats.s_col else SIDE_DUAL
     M = J if side == SIDE_PRIMAL else transpose(J)
-    layer_d = enumerate_faces(M, d)
-    layer_d1 = enumerate_faces(M, d - 1)
-    layer_d2 = enumerate_faces(M, d - 2)
-    bd_d = boundary_matrix(layer_d, layer_d1)
-    bd_d1 = boundary_matrix(layer_d1, layer_d2)
-    rank_d = bd_d.rank()
-    kernel_d1 = bd_d1.nullity()
+    upper = enumerate_faces(M, d)
+    middle = enumerate_faces(M, d - 1)
+    shape_d = (len(middle), len(upper))
+    rank_d = boundary_matrix(upper, middle).rank()
+    del upper
+    lower = enumerate_faces(M, d - 2)
+    kernel_d1 = boundary_matrix(middle, lower).nullity()
     return CompletenessReport(
         d=d,
         side=side,
         stats=stats,
-        boundary_d_shape=(bd_d.nrows, bd_d.ncols),
+        boundary_d_shape=shape_d,
         boundary_d_rank=rank_d,
-        boundary_d1_shape=(bd_d1.nrows, bd_d1.ncols),
+        boundary_d1_shape=(len(lower), len(middle)),
         boundary_d1_kernel=kernel_d1,
         complete=kernel_d1 > rank_d,
     )

@@ -111,8 +111,6 @@ def find_pulling_facet(d: int, J: IncidenceMinor) -> Optional[Simplex]:
     live = -1  # every vertex
     chosen: list[int] = []
     for _ in range(d):
-        if not live:
-            return None
         low = live & -live
         best = None
         best_size = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 from typing import Sequence
 
 from polycomplete.incidence import IncidenceMinor
@@ -190,6 +191,25 @@ def _solve_hyperplane(points: Sequence[Sequence[Fraction]]):
     return normal, offset
 
 
+def _supporting_hyperplanes(points: list[tuple[Fraction, ...]], max_subsets: int):
+    """(normal, offset, values) of each e-subset's hyperplane with every
+    point weakly on one side; values[i] is normal . points[i] - offset."""
+    e = len(points[0])
+    total = 1
+    for i in range(e):
+        total = total * (len(points) - i) // (i + 1)
+    if total > max_subsets:
+        raise OracleSizeError(f"{total} subsets exceed the cap {max_subsets}")
+    for combo in combinations(range(len(points)), e):
+        plane = _solve_hyperplane([points[i] for i in combo])
+        if plane is None:
+            continue
+        normal, offset = plane
+        values = [sum(a * x for a, x in zip(normal, p)) - offset for p in points]
+        if all(v <= 0 for v in values) or all(v >= 0 for v in values):
+            yield normal, offset, values
+
+
 def hull_facets(points: Sequence[Sequence[Fraction]], max_subsets: int = 500_000) -> frozenset:
     """Facet vertex sets of the convex hull of full-dimensional points.
 
@@ -200,22 +220,57 @@ def hull_facets(points: Sequence[Sequence[Fraction]], max_subsets: int = 500_000
     points = [tuple(Fraction(x) for x in p) for p in points]
     if not points:
         return frozenset()
-    e = len(points[0])
-    total = 1
-    for i in range(e):
-        total = total * (len(points) - i) // (i + 1)
-    if total > max_subsets:
-        raise OracleSizeError(f"{total} subsets exceed the cap {max_subsets}")
+    return frozenset(
+        frozenset(i + 1 for i, v in enumerate(values) if v == 0)
+        for _, _, values in _supporting_hyperplanes(points, max_subsets)
+    )
+
+
+def _on_facet(facet: tuple[int, ...], point: Sequence[Fraction]) -> bool:
+    *normal, offset = facet
+    return sum(a * x for a, x in zip(normal, point)) == offset
+
+
+@dataclass(frozen=True)
+class ExactHull:
+    """Vertices and facet inequalities normal . x <= offset of a polytope.
+
+    Each facet is the tuple (*normal, offset) of coprime integers.
+    """
+
+    d: int
+    vertices: tuple[tuple[Fraction, ...], ...]
+    facets: tuple[tuple[int, ...], ...]
+
+    def incidence(self) -> IncidenceMinor:
+        """Facet-by-vertex incidence: bit j of row k iff vertex j+1 is on facet k+1."""
+        masks = tuple(
+            sum(1 << j for j, v in enumerate(self.vertices) if _on_facet(f, v)) for f in self.facets
+        )
+        return IncidenceMinor(self.d, len(self.vertices), masks)
+
+
+def exact_hull(points: Sequence[Sequence[Fraction]], max_subsets: int = 500_000) -> ExactHull:
+    """The convex hull of full-dimensional rational points, by brute force.
+
+    Every e-subset's hyperplane with all points weakly on one side is a
+    facet.  It is scaled to coprime integers with every point on its <=
+    side, so the same facet found from several subsets is kept once; the
+    facets are sorted.  The vertices are the distinct points whose tight
+    facet normals span dimension e, in input order.
+    """
+    points = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     facets = set()
-    for combo in combinations(range(len(points)), e):
-        plane = _solve_hyperplane([points[i] for i in combo])
-        if plane is None:
-            continue
-        normal, offset = plane
-        values = [sum(a * x for a, x in zip(normal, p)) - offset for p in points]
-        if all(v <= 0 for v in values) or all(v >= 0 for v in values):
-            facets.add(frozenset(i + 1 for i, v in enumerate(values) if v == 0))
-    return frozenset(facets)
+    for normal, offset, values in _supporting_hyperplanes(points, max_subsets):
+        sign = -1 if any(v > 0 for v in values) else 1
+        coeffs = [sign * c for c in (*normal, offset)]
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        g = gcd(*ints)
+        facets.add(tuple(x // g for x in ints))
+    e = len(points[0])
+    vertices = tuple(p for p in points if rank_over_q([f[:-1] for f in facets if _on_facet(f, p)]) == e)
+    return ExactHull(e, vertices, tuple(sorted(facets)))
 
 
 def permutation_equivalent(a: IncidenceMinor, b: IncidenceMinor, max_cols: int = 9) -> bool:

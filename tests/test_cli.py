@@ -152,6 +152,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", km_file, str(cert))
         assert code == 2
 
+    def test_d0_rejected(self, capsys, tmp_path):
+        point = tmp_path / "point.inc"
+        point.write_text("0 0 1\n")
+        cert = tmp_path / "cert.txt"
+        cert.write_text("EMPTY\n")
+        code, out, err = run(capsys, "verify", str(point), str(cert))
+        assert code == 2 and out == ""
+        assert err == "error: certificates are defined for d >= 1 only\n"
+
 
 class TestHugeWidthNoRows:
     """A column count far beyond memory with no rows is a plain incomplete minor."""

@@ -1,5 +1,8 @@
+import weakref
+
 import pytest
 
+from polycomplete import crosscut
 from polycomplete.crosscut import (
     SIDE_DUAL,
     SIDE_PRIMAL,
@@ -149,6 +152,22 @@ class TestDecideSides:
     def test_unknown_side_rejected(self, km):
         with pytest.raises(ValueError):
             decide(3, km, side="sideways")
+
+
+class TestOneBoundaryAtATime:
+    def test_d_layer_released_before_second_boundary(self, monkeypatch):
+        """The d-layer is gone by the time the boundary out of the (d-1)-layer is built."""
+        uppers = []
+        alive = []
+
+        def spy(upper, lower):
+            alive.append([ref() is not None for ref in uppers])
+            uppers.append(weakref.ref(upper))
+            return boundary_matrix(upper, lower)
+
+        monkeypatch.setattr(crosscut, "boundary_matrix", spy)
+        assert analyze(4, prism(cyclic_incidence(3, 8))).complete is True
+        assert alive == [[], [False]]
 
 
 SPHERES = (

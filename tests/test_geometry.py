@@ -71,6 +71,10 @@ class TestExtract:
         J = extract_incidence(inst)
         assert all(mask >> 8 & 1 == 0 for mask in J.row_masks)
 
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            GeometricInstance(-1, (), ())
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GeometricInstance(3, ((Fraction(0), Fraction(0)),), ())

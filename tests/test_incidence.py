@@ -153,6 +153,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             IncidenceMinor(-1, 2, (1,))
 
+    def test_rejects_negative_column_count(self):
+        with pytest.raises(ValueError, match="column count"):
+            IncidenceMinor(2, -1, ())
+
     def test_from_rows_rejects_bad_label(self):
         with pytest.raises(ValueError):
             IncidenceMinor.from_rows(2, 3, [(1, 4)])

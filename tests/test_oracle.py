@@ -6,6 +6,7 @@ from polycomplete.incidence import IncidenceMinor
 
 from oracle import (
     OracleSizeError,
+    exact_hull,
     homology_all_ranks,
     hull_facets,
     pulling_triangulation_by_flags,
@@ -106,3 +107,9 @@ class TestHullOracle:
     def test_subset_cap(self):
         with pytest.raises(OracleSizeError):
             hull_facets([(i, i * i) for i in range(30)], max_subsets=10)
+
+    def test_exact_hull_of_a_square_with_edge_and_interior_points(self):
+        hull = exact_hull([(0, 0), (2, 0), (1, 0), (2, 2), (1, 1), (0, 2), (2, 2)])
+        assert hull.vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
+        assert hull.facets == ((-1, 0, 0), (0, -1, 0), (0, 1, 2), (1, 0, 2))
+        assert hull.incidence() == IncidenceMinor(2, 4, (0b1001, 0b0011, 0b1100, 0b0110))

@@ -200,6 +200,11 @@ class TestVerifyCertificate:
         with pytest.raises(CertificateFormatError):
             verify_certificate(3, km, cert)
 
+    def test_d_below_one_rejected(self, km):
+        cert = PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_certificate(0, km, cert)
+
 
 class TestCertificateText:
     def test_round_trip(self):
@@ -216,6 +221,14 @@ class TestCertificateText:
             serialize_certificate(PullingCertificate(CertificateKind.BOUNDARY_RIDGE, (2, 3)))
             == "RIDGE 2 3\n"
         )
+
+    def test_ridge_kind_needs_a_ridge(self):
+        with pytest.raises(ValueError, match="needs a ridge"):
+            PullingCertificate(CertificateKind.BOUNDARY_RIDGE)
+
+    def test_empty_kind_carries_no_ridge(self):
+        with pytest.raises(ValueError, match="carries no ridge"):
+            PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX, (2, 3))
 
     @pytest.mark.parametrize("text", ["", "BOGUS 1 2\n", "RIDGE x\n", "RIDGE 3 2\n", "EMPTY 1\n", "EMPTY\nRIDGE 1\n"])
     def test_parse_rejects(self, text):
