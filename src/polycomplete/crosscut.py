@@ -128,7 +128,8 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     itself, "dual" its transpose (same answer either way), "auto" picks
     the smaller problem by comparing max row and column support, ties
     toward primal.  One boundary matrix is alive at a time: the d-layer
-    and its boundary are released before the (d-2)-layer is built.
+    and its boundary are released before the (d-2)-layer is built, and
+    the second boundary gets only the columns that clearing keeps.
     """
     if d < 0:
         raise ValueError("dimension d must be nonnegative")
@@ -147,17 +148,23 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     upper = enumerate_faces(M, d)
     middle = enumerate_faces(M, d - 1)
     shape_d = (len(middle), len(upper))
-    rank_d = boundary_matrix(upper, middle).rank()
-    del upper
+    boundary_d = boundary_matrix(upper, middle)
+    rank_d = boundary_d.rank()
+    # clearing: the top face of a reduced column of boundary_d tops a cycle,
+    # so its own boundary column is a sum of earlier ones and is not built
+    cleared = boundary_d.pivots
+    kept = FaceLayer(d - 1, tuple(f for i, f in enumerate(middle.faces, 1) if i not in cleared))
+    n_middle = len(middle)
+    del upper, middle, boundary_d, cleared
     lower = enumerate_faces(M, d - 2)
-    kernel_d1 = boundary_matrix(middle, lower).nullity()
+    kernel_d1 = n_middle - boundary_matrix(kept, lower).rank()
     return CompletenessReport(
         d=d,
         side=side,
         stats=stats,
         boundary_d_shape=shape_d,
         boundary_d_rank=rank_d,
-        boundary_d1_shape=(len(lower), len(middle)),
+        boundary_d1_shape=(len(lower), n_middle),
         boundary_d1_kernel=kernel_d1,
         complete=kernel_d1 > rank_d,
     )

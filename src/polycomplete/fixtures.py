@@ -12,7 +12,7 @@ the same matrix can serve as golden tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable
 
 from .geometry import GeometricInstance, Halfspace
@@ -33,31 +33,30 @@ def cube_km() -> IncidenceMinor:
     return IncidenceMinor.from_rows(3, 8, KM_FACETS)
 
 
-def gale_even(subset: Iterable[int], n: int) -> bool:
-    """Gale's evenness criterion on a subset of {1..n}.
-
-    Every maximal run of consecutive elements that contains neither 1
-    nor n must have even length.
-    """
-    runs: list[list[int]] = []
-    for x in sorted(subset):
-        if runs and x == runs[-1][-1] + 1:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    return all(run[0] == 1 or run[-1] == n or len(run) % 2 == 0 for run in runs)
-
-
 def cyclic_incidence(d: int, n: int) -> IncidenceMinor:
     """Facets of the cyclic polytope C_d(n) by Gale's evenness criterion.
 
-    Vertices are numbered along the moment curve; rows are the qualifying
-    d-subsets in lexicographic order.
+    Vertices are numbered along the moment curve; rows are the Gale-even
+    d-subsets in lexicographic order, grown depth first: a run of
+    consecutive vertices is left behind only if it holds 1 or is even.
     """
     if not n > d >= 2:
         raise ValueError("cyclic polytope needs n > d >= 2")
-    rows = [S for S in combinations(range(1, n + 1), d) if gale_even(S, n)]
-    return IncidenceMinor.from_rows(d, n, rows)
+    rows = []
+    # (row mask, highest vertex, vertices still to add, length of the run ending there or 0 if it holds 1)
+    stack = [(0, 0, d, 0)]
+    while stack:
+        mask, last, k, run = stack.pop()
+        if k == 0:
+            if run % 2 == 0 or last == n:
+                rows.append(mask)
+            continue
+        if run % 2 == 0:  # the run may close: the next vertex comes after a gap
+            starts = range(n - k + 1, last + 1 if last else 0, -1)
+            stack.extend((mask | 1 << v - 1, v, k - 1, int(v > 1)) for v in starts)
+        if last and last + k <= n:  # extending the run comes first in lexicographic order
+            stack.append((mask | 1 << last, last + 1, k - 1, run and run + 1))
+    return IncidenceMinor(d, n, tuple(rows))
 
 
 def simplex_incidence(d: int) -> IncidenceMinor:
@@ -105,13 +104,11 @@ def delete_minor(J: IncidenceMinor, rows: Iterable[int] = (), cols: Iterable[int
     for j in drop_cols:
         if not 1 <= j <= J.n:
             raise IndexError(f"column {j} outside 1..{J.n}")
-    keep = [j - 1 for j in range(1, J.n + 1) if j not in drop_cols]  # old bit of each new column
-    masks = tuple(
-        sum((r >> old & 1) << new for new, old in enumerate(keep))
-        for i, r in enumerate(J.row_masks, start=1)
-        if i not in drop_rows
-    )
-    return IncidenceMinor(J.d, len(keep), masks)
+    masks = [r for i, r in enumerate(J.row_masks, start=1) if i not in drop_rows]
+    for j in sorted(drop_cols, reverse=True):  # bit j-1 goes, the bits above it shift down
+        low = (1 << j - 1) - 1
+        masks = [r & low | r >> j << j - 1 for r in masks]
+    return IncidenceMinor(J.d, J.n - len(drop_cols), tuple(masks))
 
 
 # --- geometric instances -------------------------------------------------

@@ -45,7 +45,8 @@ class GeometryFormatError(FormatError):
 
 
 def _to_fractions(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    """The values as Fractions; an exact Fraction passes through as it is."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _homogeneous(values: Sequence[Fraction]) -> tuple[int, ...]:
@@ -63,7 +64,7 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _to_fractions(self.normal))
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "offset", *_to_fractions([self.offset]))
         if all(a == 0 for a in self.normal):
             raise ValueError("halfspace normal must not be identically zero")
 

@@ -1,10 +1,10 @@
-"""GF(2) rank and kernel dimension with columns packed into Python integers.
+"""GF(2) rank with columns packed into Python integers.
 
 Each column of a matrix is one arbitrary-precision integer; bit i is the
 entry in row i (0-based here -- this is an internal algebra kernel).
 Column operations are single XORs, so elimination runs at machine word
-speed regardless of height.  Rank and kernel dimension are all the
-homology decision needs; no Smith normal form, no other fields.
+speed regardless of height.  The rank and the pivots of the reduction
+are all the homology decision needs; no Smith normal form, no other fields.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 class Gf2Matrix:
     """An nrows x ncols matrix over GF(2), columns packed as integers."""
 
-    __slots__ = ("nrows", "ncols", "cols")
+    __slots__ = ("nrows", "ncols", "cols", "pivots")
 
     def __init__(self, nrows: int, ncols: int, cols: Sequence[int]):
         if nrows < 0 or ncols < 0:
@@ -30,14 +30,16 @@ class Gf2Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.cols = cols
+        self.pivots: dict[int, int] = {}
 
     def rank(self) -> int:
-        """GF(2) rank by column reduction; the input is never mutated.
+        """GF(2) rank by column reduction; ``cols`` is never mutated.
 
         Each column is reduced against the earlier pivots until its
         highest set bit is new (it becomes a pivot) or it vanishes.
+        ``pivots`` keeps them: highest bit (a 1-based row) -> reduced column.
         """
-        pivots: dict[int, int] = {}
+        pivots = self.pivots = {}
         for col in self.cols:
             while col:
                 top = col.bit_length()
@@ -47,7 +49,3 @@ class Gf2Matrix:
                     break
                 col ^= other
         return len(pivots)
-
-    def nullity(self) -> int:
-        """Kernel dimension of the column action: ncols - rank."""
-        return self.ncols - self.rank()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from polycomplete.incidence import IncidenceMinor
 
@@ -20,6 +20,21 @@ from polycomplete.incidence import IncidenceMinor
 def supports(J: IncidenceMinor) -> tuple[tuple[int, ...], ...]:
     """The sorted 1-based vertex labels of each row, read bit by bit."""
     return tuple(tuple(j + 1 for j in range(J.n) if mask >> j & 1) for mask in J.row_masks)
+
+
+def gale_even(subset: Iterable[int], n: int) -> bool:
+    """Gale's evenness criterion on a subset of {1..n}.
+
+    Every maximal run of consecutive elements that contains neither 1
+    nor n must have even length.
+    """
+    runs: list[list[int]] = []
+    for x in sorted(subset):
+        if runs and x == runs[-1][-1] + 1:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    return all(run[0] == 1 or run[-1] == n or len(run) % 2 == 0 for run in runs)
 
 
 class OracleSizeError(ValueError):

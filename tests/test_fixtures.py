@@ -1,4 +1,6 @@
 import hashlib
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -6,16 +8,17 @@ import pytest
 from polycomplete.crosscut import decide
 from polycomplete.fixtures import (
     crosspolytope_incidence,
+    cube_km,
     cyclic_incidence,
     delete_minor,
-    gale_even,
     geometric_cyclic,
     prism,
     simplex_incidence,
 )
 from polycomplete.geometry import extract_incidence, serialize_geometry, validate_instance
+from polycomplete.incidence import IncidenceMinor
 
-from oracle import hull_facets, supports
+from oracle import gale_even, hull_facets, supports
 
 
 def cyclic_facet_count(d, n):
@@ -79,6 +82,13 @@ class TestCyclic:
         with pytest.raises(ValueError):
             cyclic_incidence(1, 5)
 
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in range(2, 8) for n in range(d + 1, 22)] + [(4, 40), (3, 60)]
+    )
+    def test_equals_gale_even_filter(self, d, n):
+        rows = [S for S in combinations(range(1, n + 1), d) if gale_even(S, n)]
+        assert cyclic_incidence(d, n) == IncidenceMinor.from_rows(d, n, rows)
+
     def test_gale_even_examples(self):
         assert gale_even((1, 2, 3, 4), 8)
         assert gale_even((1, 4, 5, 8), 8)
@@ -122,6 +132,21 @@ class TestDeleteMinor:
     def test_column_renumbering(self, km):
         J = delete_minor(km, cols=[1])
         assert supports(J)[0] == (1, 2, 3)  # old (2,3,4) shifted down
+
+    def test_equals_bit_by_bit_renumbering(self):
+        rng = random.Random(12)
+        bases = [cube_km(), cyclic_incidence(4, 12), prism(prism(cube_km())), crosspolytope_incidence(5)]
+        for _ in range(500):
+            J = rng.choice(bases)
+            rows = rng.sample(range(1, J.m + 1), rng.randint(0, 4))
+            cols = rng.sample(range(1, J.n + 1), rng.randint(0, J.n))
+            keep = [j - 1 for j in range(1, J.n + 1) if j not in cols]  # old bit of each new column
+            masks = tuple(
+                sum((r >> old & 1) << new for new, old in enumerate(keep))
+                for i, r in enumerate(J.row_masks, start=1)
+                if i not in rows
+            )
+            assert delete_minor(J, rows, cols) == IncidenceMinor(J.d, len(keep), masks)
 
     def test_out_of_range(self, km):
         with pytest.raises(IndexError):

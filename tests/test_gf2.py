@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given
@@ -80,19 +82,49 @@ class TestRank:
         assert Gf2Matrix(m.nrows, m.ncols, cols).rank() == m.rank()
 
 
+def kernel_size(m):
+    """How many column subsets XOR to zero, by trying them all: 2**nullity."""
+    return sum(
+        not reduce(xor, (c for j, c in enumerate(m.cols) if pick >> j & 1), 0) for pick in range(1 << m.ncols)
+    )
+
+
 class TestNullity:
     def test_identity(self):
-        assert from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).nullity() == 0
+        m = from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert m.ncols - m.rank() == 0
 
     def test_empty_map_full_kernel(self):
-        assert Gf2Matrix(0, 5, [0] * 5).nullity() == 5
+        m = Gf2Matrix(0, 5, [0] * 5)
+        assert m.ncols - m.rank() == 5
 
     def test_dependent_rows(self):
-        assert from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).nullity() == 1
+        m = from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert m.ncols - m.rank() == 1
 
     @given(matrices())
     def test_rank_nullity(self, m):
-        assert m.rank() + m.nullity() == m.ncols
+        assert 1 << (m.ncols - m.rank()) == kernel_size(m)
+
+
+class TestPivots:
+    @given(matrices())
+    def test_one_pivot_per_rank_at_its_top_bit(self, m):
+        rank = m.rank()
+        assert len(m.pivots) == rank
+        assert all(top == col.bit_length() for top, col in m.pivots.items())
+        # the reduced columns span the column space
+        reduced = list(m.pivots.values())
+        assert Gf2Matrix(m.nrows, rank, reduced).rank() == rank
+        assert Gf2Matrix(m.nrows, rank + m.ncols, reduced + m.cols).rank() == rank
+
+    def test_each_rank_call_starts_afresh(self):
+        m = from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert m.pivots == {}
+        m.rank()
+        first = dict(m.pivots)
+        m.rank()
+        assert m.pivots == first == {3: 0b101, 2: 0b011}
 
 
 class TestConstruction:
