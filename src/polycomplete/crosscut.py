@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gf2 import Gf2Matrix
-from .incidence import IncidenceMinor, SizeStats, size_stats, transpose
-
-Face = int  # vertex bitmask: bit v-1 stands for vertex v
+from .incidence import Face, IncidenceMinor, SizeStats, size_stats, transpose, vertices
 
 SIDE_AUTO = "auto"
 SIDE_PRIMAL = "primal"
@@ -90,7 +88,7 @@ def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
             try:
                 col |= 1 << index[facet]
             except KeyError:
-                labels = ", ".join(str(j + 1) for j in range(facet.bit_length()) if facet >> j & 1)
+                labels = ", ".join(map(str, vertices(facet)))
                 raise ValueError(f"lower layer is missing face {{{labels}}}") from None
         cols.append(col)
     return Gf2Matrix(len(lower), len(upper), cols)

@@ -276,8 +276,9 @@ def parse_geometry(text: str) -> GeometricInstance:
     """Parse the plain-text geometry format.
 
     Header "d p h", then p lines of d rationals (points), then h lines of
-    d+1 rationals (halfspace normal, then offset).  Rationals are written
-    as "num/den" or plain integers; '#' lines are comments.
+    d+1 rationals (halfspace normal, then offset).  Rationals are
+    integers, "num/den" or decimals ("0.5", ".5", "5."), each with an
+    optional leading sign, and no exponents; '#' lines are comments.
     """
     lines = text_lines(text)
     d, p, h = read_header(lines, "d p h", GeometryFormatError)

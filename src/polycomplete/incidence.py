@@ -17,6 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+Face = int  # vertex bitmask: bit v-1 stands for vertex v
+
+
+def vertices(face: Face) -> tuple[int, ...]:
+    """The increasing 1-based vertex labels of a face mask."""
+    return tuple(j + 1 for j in range(face.bit_length()) if face >> j & 1)
+
 
 class FormatError(ValueError):
     """Malformed input text.  Carries the 1-based offending line, if any."""

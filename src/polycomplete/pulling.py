@@ -19,12 +19,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Optional
 
-from .incidence import FormatError, IncidenceMinor, decimal_int, text_lines
-
-Simplex = tuple[int, ...]
+from .incidence import Face, FormatError, IncidenceMinor, decimal_int, text_lines, vertices
 
 
 class CertificateFormatError(FormatError):
@@ -46,44 +43,37 @@ class PullingCertificate:
     """
 
     kind: CertificateKind
-    ridge: Optional[Simplex] = None
+    ridge: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.kind is CertificateKind.BOUNDARY_RIDGE:
             if self.ridge is None:
                 raise ValueError("boundary-ridge certificate needs a ridge")
-            _check_increasing(self.ridge)
+            if any(a >= b for a, b in zip(self.ridge, self.ridge[1:])):
+                raise ValueError(f"vertices {self.ridge} are not strictly increasing")
         elif self.ridge is not None:
             raise ValueError("empty-complex certificate carries no ridge")
 
 
-def _check_increasing(vertices: Simplex):
-    if any(a >= b for a, b in zip(vertices, vertices[1:])):
-        raise ValueError(f"vertices {vertices} are not strictly increasing")
+def _check_face(size: int, J: IncidenceMinor, face: Face, what: str) -> None:
+    if face.bit_count() != size:
+        raise ValueError(f"{what} has {face.bit_count()} vertices, expected {size}")
+    if face < 0 or face >> J.n:
+        raise ValueError(f"{what} has vertices outside 1..{J.n}")
 
 
-def _validate_simplex(size: int, J: IncidenceMinor, vertices, what: str) -> Simplex:
-    vertices = tuple(vertices)
-    if len(vertices) != size:
-        raise ValueError(f"{what} has {len(vertices)} vertices, expected {size}")
-    _check_increasing(vertices)
-    if vertices and not (1 <= vertices[0] and vertices[-1] <= J.n):
-        raise ValueError(f"{what} {vertices} has vertices outside 1..{J.n}")
-    return vertices
-
-
-def is_pulling_facet(d: int, J: IncidenceMinor, candidate) -> bool:
-    """Membership of a d-subset in the pulling complex of (d, J).
+def is_pulling_facet(d: int, J: IncidenceMinor, candidate: Face) -> bool:
+    """Membership of a d-subset, given as a mask, in the pulling complex of (d, J).
 
     Mirrors the greedy check: for i = 1..d pick the first row F (by row
     index) that contains {vi, ..., vd} and has vi = min(F1 & ... &
     F_{i-1} & F).  Runs in O(dm) operations on the n-bit row masks.
     """
-    candidate = _validate_simplex(d, J, candidate, "candidate")
-    need = sum(1 << (v - 1) for v in candidate)  # {v_i, .., v_d}
+    _check_face(d, J, candidate, "candidate")
+    need = candidate  # {v_i, .., v_d}
     current = -1  # every vertex
-    for v in candidate:
-        bit = 1 << (v - 1)
+    while need:
+        bit = need & -need
         for r in J.row_masks:
             if r & need == need:
                 meet = current & r
@@ -96,20 +86,20 @@ def is_pulling_facet(d: int, J: IncidenceMinor, candidate) -> bool:
     return True
 
 
-def find_pulling_facet(d: int, J: IncidenceMinor) -> Optional[Simplex]:
+def find_pulling_facet(d: int, J: IncidenceMinor) -> Optional[Face]:
     """Greedily find a facet of the pulling complex avoiding vertex 1.
 
     Repeats d times: among rows that miss min(S) but meet S, take the one
     with the largest |F & S| (lowest row index on ties), shrink S to the
-    intersection and record its new minimum.  Returns the strictly
-    increasing d-set, or None when some step has no admissible row --
-    which, for valid input, certifies that J is incomplete (a complete
-    matrix always has a pulling facet avoiding vertex 1).
+    intersection and record its new minimum.  Returns the d-set as a
+    mask, or None when some step has no admissible row -- which, for
+    valid input, certifies that J is incomplete (a complete matrix always
+    has a pulling facet avoiding vertex 1).
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
     live = -1  # every vertex
-    chosen: list[int] = []
+    facet = 0
     for _ in range(d):
         low = live & -live
         best = None
@@ -123,27 +113,26 @@ def find_pulling_facet(d: int, J: IncidenceMinor) -> Optional[Simplex]:
         if best is None:
             return None
         live &= best
-        chosen.append((live & -live).bit_length())
-    return tuple(chosen)
+        facet |= live & -live
+    return facet
 
 
-def _cofacets(d: int, J: IncidenceMinor, ridge: Simplex, memo: dict[Simplex, bool]) -> list[Simplex]:
+def _cofacets(d: int, J: IncidenceMinor, ridge: Face, memo: dict[Face, bool]) -> list[Face]:
     """The pulling facets containing the (d-1)-set ridge; memo caches membership.
 
     Only vertices in a row containing the ridge are tried: a pulling
     facet lies inside its first row F1, so F1 contains the ridge.
     """
-    need = sum(1 << (v - 1) for v in ridge)
     star = 0
     for r in J.row_masks:
-        if r & need == need:
+        if r & ridge == ridge:
             star |= r
     cofacets = []
-    rest = star & ~need
+    rest = star & ~ridge
     while rest:
         low = rest & -rest
         rest ^= low
-        cand = tuple(sorted(ridge + (low.bit_length(),)))
+        cand = ridge | low
         if cand not in memo:
             memo[cand] = is_pulling_facet(d, J, cand)
         if memo[cand]:
@@ -151,14 +140,14 @@ def _cofacets(d: int, J: IncidenceMinor, ridge: Simplex, memo: dict[Simplex, boo
     return cofacets
 
 
-def ridge_cofacet_count(d: int, J: IncidenceMinor, ridge) -> int:
-    """How many pulling facets contain the given (d-1)-set.
+def ridge_cofacet_count(d: int, J: IncidenceMinor, ridge: Face) -> int:
+    """How many pulling facets contain the (d-1)-set given as a mask.
 
     Tries the extensions by a vertex outside the ridge that lies in some
     row containing it, so at most n-d+1; for d = 1 the ridge is the empty
     set and this counts the singleton facets.
     """
-    ridge = _validate_simplex(d - 1, J, ridge, "ridge")
+    _check_face(d - 1, J, ridge, "ridge")
     return len(_cofacets(d, J, ridge, {}))
 
 
@@ -170,29 +159,30 @@ def find_certificate(d: int, J: IncidenceMinor) -> Optional[PullingCertificate]:
     EMPTY_PULLING_COMPLEX certificate.  Otherwise walk the facets through
     shared ridges, exploring lexicographically smallest facets first; the
     first ridge found with exactly one cofacet is the BOUNDARY_RIDGE
-    certificate.  If the walk closes with every ridge in two facets, the
-    complex looks like a closed pseudomanifold and None is returned.
+    certificate.  None means no ridge the walk reached has exactly one
+    cofacet; a ridge with three or more is walked through, not reported.
     """
     start = find_pulling_facet(d, J)
     if start is None:
         return PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
-    memo: dict[Simplex, bool] = {}
+    memo: dict[Face, bool] = {}
     seen = {start}
-    done: set[Simplex] = set()  # ridges already walked from their other facet
-    heap = [start]
+    done: set[Face] = set()  # ridges already walked from their other facet
+    heap = [(vertices(start), start)]  # lexicographic on the vertex tuples
     while heap:
-        facet = heapq.heappop(heap)
-        for ridge in combinations(facet, d - 1):
+        labels, facet = heapq.heappop(heap)
+        for v in reversed(labels):  # highest bit first: lexicographic ridge order
+            ridge = facet ^ (1 << (v - 1))
             if ridge in done:
                 continue
             done.add(ridge)
             cofacets = _cofacets(d, J, ridge, memo)
             if len(cofacets) == 1:
-                return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, ridge)
+                return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, vertices(ridge))
             for nb in cofacets:
                 if nb not in seen:
                     seen.add(nb)
-                    heapq.heappush(heap, nb)
+                    heapq.heappush(heap, (vertices(nb), nb))
     return None
 
 
@@ -208,10 +198,14 @@ def verify_certificate(d: int, J: IncidenceMinor, cert: PullingCertificate) -> b
         raise ValueError("dimension d must be at least 1")
     if cert.kind is CertificateKind.EMPTY_PULLING_COMPLEX:
         return find_pulling_facet(d, J) is None
-    try:
-        return ridge_cofacet_count(d, J, cert.ridge) == 1
-    except ValueError as exc:
-        raise CertificateFormatError(str(exc)) from None
+    ridge = cert.ridge
+    if len(ridge) != d - 1:
+        raise CertificateFormatError(f"ridge has {len(ridge)} vertices, expected {d - 1}")
+    if ridge and not (1 <= ridge[0] and ridge[-1] <= J.n):
+        raise CertificateFormatError(f"ridge {ridge} has vertices outside 1..{J.n}")
+    if ridge and ridge[-1] > max(J.row_masks, default=0).bit_length():
+        return False  # its last vertex is in no row, so in no facet; the mask could be too wide
+    return ridge_cofacet_count(d, J, sum(1 << (v - 1) for v in ridge)) == 1
 
 
 def serialize_certificate(cert: PullingCertificate) -> str:
@@ -231,11 +225,11 @@ def parse_certificate(text: str) -> PullingCertificate:
         return PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
     if tokens[0] == "RIDGE":
         try:
-            vertices = tuple(map(decimal_int, tokens[1:]))
+            ridge = tuple(map(decimal_int, tokens[1:]))
         except ValueError:
             raise CertificateFormatError("ridge vertices must be integers", lineno) from None
         try:
-            return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, vertices)
+            return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, ridge)
         except ValueError as exc:
             raise CertificateFormatError(str(exc), lineno) from None
     raise CertificateFormatError(f"unknown certificate {line!r}", lineno)

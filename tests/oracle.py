@@ -17,6 +17,11 @@ from typing import Iterable, Sequence
 from polycomplete.incidence import IncidenceMinor
 
 
+def vertex_mask(labels: Iterable[int]) -> int:
+    """The bitmask of 1-based vertex labels: bit v-1 stands for vertex v."""
+    return sum(1 << (v - 1) for v in labels)
+
+
 def supports(J: IncidenceMinor) -> tuple[tuple[int, ...], ...]:
     """The sorted 1-based vertex labels of each row, read bit by bit."""
     return tuple(tuple(j + 1 for j in range(J.n) if mask >> j & 1) for mask in J.row_masks)

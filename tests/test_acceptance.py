@@ -26,7 +26,7 @@ from polycomplete.geometry import (
 from polycomplete.incidence import IncidenceMinor, transpose
 from polycomplete.pulling import find_certificate, is_pulling_facet, verify_certificate
 
-from oracle import homology_all_ranks, permutation_equivalent, pulling_triangulation_by_flags, supports
+from oracle import homology_all_ranks, permutation_equivalent, pulling_triangulation_by_flags, supports, vertex_mask
 
 
 @contextmanager
@@ -94,9 +94,9 @@ def test_criterion_5_certificates(corpus):
 
 def test_criterion_6_pulling_facet_membership(km):
     with criterion(6, "{1,7,8} is a pulling facet; membership matches the 12 flag facets"):
-        assert is_pulling_facet(3, km, (1, 7, 8)) is True
+        assert is_pulling_facet(3, km, vertex_mask((1, 7, 8))) is True
         exhaustive = {
-            c for c in combinations(range(1, km.n + 1), 3) if is_pulling_facet(3, km, c)
+            c for c in combinations(range(1, km.n + 1), 3) if is_pulling_facet(3, km, vertex_mask(c))
         }
         flags = pulling_triangulation_by_flags(km)
         assert len(flags) == 12

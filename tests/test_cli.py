@@ -140,11 +140,22 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "accept"
 
-    def test_malformed_certificate(self, capsys, km_file, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("RIDGE 7\n", "ridge has 1 vertices, expected 2"),
+            ("RIDGE 1 2 3\n", "ridge has 3 vertices, expected 2"),
+            ("RIDGE 0 1\n", "ridge (0, 1) has vertices outside 1..8"),
+            ("RIDGE -1 2\n", "ridge (-1, 2) has vertices outside 1..8"),
+            ("RIDGE 7 9\n", "ridge (7, 9) has vertices outside 1..8"),
+            ("RIDGE 0 1 2\n", "ridge has 3 vertices, expected 2"),  # size is checked first
+        ],
+        ids=["one-vertex", "three-vertices", "vertex-0", "vertex-negative", "vertex-9", "size-before-range"],
+    )
+    def test_malformed_certificate(self, capsys, km_file, tmp_path, text, message):
         cert = tmp_path / "cert.txt"
-        cert.write_text("RIDGE 7\n")  # wrong ridge size for d=3
-        code, _, err = run(capsys, "verify", km_file, str(cert))
-        assert code == 2
+        cert.write_text(text)  # d = 3, n = 8
+        assert run(capsys, "verify", km_file, str(cert)) == (2, "", f"error: {message}\n")
 
     def test_garbage_certificate(self, capsys, km_file, tmp_path):
         cert = tmp_path / "cert.txt"
@@ -182,6 +193,12 @@ class TestHugeWidthNoRows:
         cert = tmp_path / "cert.txt"
         cert.write_text("EMPTY\n")
         assert run(capsys, "verify", wide_file, str(cert)) == (0, "accept\n", "")
+
+    def test_verify_ridge(self, capsys, wide_file, tmp_path):
+        # both vertices are in range, but no row holds them
+        cert = tmp_path / "cert.txt"
+        cert.write_text("RIDGE 1 99999999999999999999\n")
+        assert run(capsys, "verify", wide_file, str(cert)) == (1, "reject\n", "")
 
 
 @pytest.mark.parametrize("command, target", [("check", "analyze"), ("certify", "find_certificate")])

@@ -7,6 +7,7 @@ byte for byte.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -94,6 +95,10 @@ DIAGNOSTICS = [
     pytest.param(GEO, "1 1 1\n0b1\n1 1\n", "line 2: bad rational '0b1'", 2, id="geo-0b-prefix"),
     pytest.param(GEO, "1 1 1\n1/ 2\n1 1\n", "line 2: expected 1 rationals, found 2", 2, id="geo-inner-space"),
     pytest.param(GEO, "1 1 1\n0\n1 --1\n", "line 3: bad rational '--1'", 3, id="geo-double-minus"),
+    *(
+        pytest.param(GEO, f"1 1 1\n{token}\n1 1\n", f"line 2: bad rational {token!r}", 2, id=f"geo-refused-{token}")
+        for token in ("1/-2", "1.5/2", "3/4.0", "0x1", "nan", "inf", "1/2/3", "1.2.3")
+    ),
     # certificate: only the line count has no single line to name
     pytest.param(CERT, "", "certificate must be a single line", None, id="cert-empty"),
     pytest.param(CERT, "# c\n\n", "certificate must be a single line", None, id="cert-comment-only"),
@@ -121,6 +126,27 @@ def test_diagnostic(fmt, text, message, line):
     assert type(err.value) is error
     assert str(err.value) == message
     assert getattr(err.value, "line", None) == line
+
+
+# the rational grammar as the geometry reader accepts it: decimals and a
+# leading sign are taken besides integers and num/den
+ACCEPTED_RATIONALS = [
+    ("0.5", Fraction(1, 2)),
+    (".5", Fraction(1, 2)),
+    ("-.5", Fraction(-1, 2)),
+    ("5.", Fraction(5)),
+    ("+1", Fraction(1)),
+    ("+1/2", Fraction(1, 2)),
+    ("-1/2", Fraction(-1, 2)),
+    ("-0", Fraction(0)),
+    ("00012", Fraction(12)),
+    ("1/002", Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("token, value", ACCEPTED_RATIONALS)
+def test_rational_accepted(token, value):
+    assert parse_geometry(f"1 1 1\n{token}\n1 1\n").points == ((value,),)
 
 
 FUZZ_PIECES = ("0", "1", "#", "/", "-", "e", "_", ".", "RIDGE", "EMPTY", "1/0", " ", "\t", "\n", "\r\n")
