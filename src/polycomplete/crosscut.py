@@ -3,8 +3,15 @@
 The crosscut complex of an incidence minor is the simplicial complex of
 all vertex subsets contained in at least one facet row.  A minor of a
 d-polytope's incidence matrix is complete exactly when the reduced
-(d-1)-st Z2 homology of this complex is nonzero, which reduces to one
+(d-1)-st Z2 homology of this complex K is nonzero, which reduces to one
 rank and one kernel computation on two boundary matrices.
+
+Those matrices are built on a smaller complex K' that K collapses onto:
+``collapse`` replaces the full simplex of a big row with a cone over
+where it meets the other rows.  Each collapse pair lowers one boundary
+rank by exactly one and takes one face from each of two adjacent layers,
+so the shapes, rank and kernel of K follow from those of K' and counts
+of the pairs.
 
 Reduced homology is used uniformly: the boundary from the vertex layer to
 the empty-face layer is the all-ones augmentation row.  That makes the
@@ -16,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+from typing import Iterable
 
 from .gf2 import Gf2Matrix
 from .incidence import Face, IncidenceMinor, SizeStats, size_stats, transpose, vertices
@@ -53,16 +62,26 @@ def enumerate_faces(J: IncidenceMinor, k: int) -> FaceLayer:
     if k == -1:
         present = J.m > 0 or J.n > 0
         return FaceLayer(-1, (0,) if present else ())
+    return FaceLayer(k, tuple(sorted(_subsets(J.row_masks, k + 1))))
+
+
+def _subsets(rows: Iterable[Face], size: int) -> set[Face]:
+    """Every size-subset of some row; the empty face 0 when size is 0."""
     seen: set[Face] = set()
-    for row in J.row_masks:
-        if row.bit_count() >= k + 1:
-            bits = []
-            while row:
-                low = row & -row
-                bits.append(low)
-                row ^= low
-            seen.update(map(sum, combinations(bits, k + 1)))
-    return FaceLayer(k, tuple(sorted(seen)))
+    for row in rows:
+        if row.bit_count() >= size:
+            seen.update(map(sum, combinations(_bits(row), size)))
+    return seen
+
+
+def _bits(face: Face) -> list[Face]:
+    """The one-bit masks of a face's vertices, lowest first."""
+    bits = []
+    while face:
+        low = face & -face
+        bits.append(low)
+        face ^= low
+    return bits
 
 
 def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
@@ -92,6 +111,53 @@ def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
                 raise ValueError(f"lower layer is missing face {{{labels}}}") from None
         cols.append(col)
     return Gf2Matrix(len(lower), len(upper), cols)
+
+
+def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
+    """Rows of a complex K' that M's crosscut complex K collapses onto, and the pair counts q.
+
+    One pass over the distinct rows, largest first.  A row F with more
+    than d+1 vertices and another generator beside it meets the others
+    in C, the union of the simplices on F & S (C holds the empty face).
+    Its simplex is replaced with the cone from the lowest vertex a of F
+    with F - a not in C, spanned by a and the maximal faces of C, if that
+    lowers the face bound sum_{k=d-2..d} C(|g|, k+1).  K collapses onto
+    K' through the pairs (t, t + a), t a subset of F - a not in C; a pair
+    with |t| = j takes one face from each of the layers j-1 and j and
+    lowers the rank of the boundary out of the j-faces by one, leaving
+    every other rank as it was.  q[i] counts the pairs with |t| = d-2+i.
+    M itself is returned when no row has more than d+1 vertices.
+    """
+    gens = set(M.row_masks)
+    q = [0, 0, 0, 0]
+    big = sorted((F for F in gens if F.bit_count() > d + 1), key=lambda F: (-F.bit_count(), F))
+    if not big:
+        return M, q
+    for F in big:
+        if len(gens) == 1:
+            break  # F is the last generator: nothing else to meet
+        size = F.bit_count()
+        gens.remove(F)
+        meets = {F & S for S in gens}
+        apex = next((bit for bit in _bits(F) if F ^ bit not in meets), 0)
+        tops: list[Face] = []
+        for c in sorted(meets, key=int.bit_count, reverse=True):
+            if all(c & t != c for t in tops):
+                tops.append(c)
+        if not apex or sum(_face_bound(d, (apex | c).bit_count()) for c in tops) >= _face_bound(d, size):
+            gens.add(F)
+            continue
+        gens.update(apex | c for c in tops)
+        base = [c & ~apex for c in tops]
+        for i, j in enumerate(range(d - 2, d + 2)):
+            if j >= 0:
+                q[i] += comb(size - 1, j) - len(_subsets(base, j))
+    return IncidenceMinor(M.d, M.n, tuple(gens)), q
+
+
+def _face_bound(d: int, size: int) -> int:
+    """Faces of dimension d-2..d in the simplex on size vertices."""
+    return sum(comb(size, k + 1) for k in range(d - 2, d + 1))
 
 
 @dataclass(frozen=True)
@@ -125,9 +191,14 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     side selects which matrix the homology is computed on: "primal" is J
     itself, "dual" its transpose (same answer either way), "auto" picks
     the smaller problem by comparing max row and column support, ties
-    toward primal.  One boundary matrix is alive at a time: the d-layer
-    and its boundary are released before the (d-2)-layer is built, and
-    the second boundary gets only the columns that clearing keeps.
+    toward primal.  The faces are enumerated on the collapsed complex K'
+    of that side, and the report gives the numbers of the original
+    complex K: with q_j the collapse pairs (t, t + a) with |t| = j,
+    n_k(K) = n_k(K') + q_k + q_{k+1}, rank d(K) = rank d(K') + q_d and
+    rank d-1(K) = rank d-1(K') + q_{d-1}.  One boundary matrix is alive
+    at a time: the d-layer and its boundary are released before the
+    (d-2)-layer is built, and the second boundary gets only the columns
+    that clearing keeps.
     """
     if d < 0:
         raise ValueError("dimension d must be nonnegative")
@@ -143,26 +214,27 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     if side == SIDE_AUTO:
         side = SIDE_PRIMAL if stats.s <= stats.s_col else SIDE_DUAL
     M = J if side == SIDE_PRIMAL else transpose(J)
-    upper = enumerate_faces(M, d)
-    middle = enumerate_faces(M, d - 1)
-    shape_d = (len(middle), len(upper))
+    K, (q_dm2, q_dm1, q_d, q_dp1) = collapse(d, M)  # pairs with |t| = d-2 .. d+1
+    upper = enumerate_faces(K, d)
+    middle = enumerate_faces(K, d - 1)
+    n_middle = len(middle) + q_dm1 + q_d
+    shape_d = (n_middle, len(upper) + q_d + q_dp1)
     boundary_d = boundary_matrix(upper, middle)
-    rank_d = boundary_d.rank()
+    rank_d = boundary_d.rank() + q_d
     # clearing: the top face of a reduced column of boundary_d tops a cycle,
     # so its own boundary column is a sum of earlier ones and is not built
     cleared = boundary_d.pivots
     kept = FaceLayer(d - 1, tuple(f for i, f in enumerate(middle.faces, 1) if i not in cleared))
-    n_middle = len(middle)
     del upper, middle, boundary_d, cleared
-    lower = enumerate_faces(M, d - 2)
-    kernel_d1 = n_middle - boundary_matrix(kept, lower).rank()
+    lower = enumerate_faces(K, d - 2)
+    kernel_d1 = n_middle - boundary_matrix(kept, lower).rank() - q_dm1
     return CompletenessReport(
         d=d,
         side=side,
         stats=stats,
         boundary_d_shape=shape_d,
         boundary_d_rank=rank_d,
-        boundary_d1_shape=(len(lower), n_middle),
+        boundary_d1_shape=(len(lower) + q_dm2 + q_dm1, n_middle),
         boundary_d1_kernel=kernel_d1,
         complete=kernel_d1 > rank_d,
     )

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .incidence import FormatError, IncidenceMinor, read_header, text_lines
+from .incidence import FormatError, IncidenceMinor, decimal_int, read_header, text_lines
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -261,12 +261,20 @@ def _parse_rationals(line: str, expected: int, lineno: int) -> tuple[Fraction, .
         raise GeometryFormatError(f"expected {expected} rationals, found {len(parts)}", lineno)
     values = []
     for part in parts:
+        num, slash, den = part.partition("/")
         try:
-            # Fraction also reads exponents (1e9999999 has ten million
-            # digits), '_' separators and non-ASCII digits
-            if "e" in part or "E" in part or "_" in part or not part.isascii():
+            if "." in part:
+                # Fraction also reads exponents (1e9999999 has ten million
+                # digits), '_' separators and non-ASCII digits
+                if "e" in part or "E" in part or "_" in part or not part.isascii():
+                    raise ValueError(part)
+                values.append(Fraction(part))
+            elif num.startswith("+-") or den.startswith("-"):
                 raise ValueError(part)
-            values.append(Fraction(part))
+            else:
+                # integers and num/den skip Fraction's regular expression
+                value = decimal_int(num.removeprefix("+"))
+                values.append(Fraction(value, decimal_int(den)) if slash else Fraction(value))
         except (ValueError, ZeroDivisionError):
             raise GeometryFormatError(f"bad rational {part!r}", lineno) from None
     return tuple(values)

@@ -1,3 +1,4 @@
+import random
 import weakref
 
 import pytest
@@ -9,6 +10,7 @@ from polycomplete.crosscut import (
     SIDE_PRIMAL,
     analyze,
     boundary_matrix,
+    collapse,
     decide,
     enumerate_faces,
 )
@@ -171,10 +173,15 @@ class TestOneBoundaryAtATime:
         assert alive == [[], [False]]
 
 
-def unclear_kernel(M, k):
-    """Kernel of the boundary out of M's k-faces, every column built and reduced."""
-    this = enumerate_faces(M, k)
-    return len(this) - boundary_matrix(this, enumerate_faces(M, k - 1)).rank()
+def direct_numbers(d, M):
+    """Shapes, rank and kernel of M's crosscut complex, every face built and no column cleared."""
+    upper, middle, lower = (enumerate_faces(M, k) for k in (d, d - 1, d - 2))
+    kernel = len(middle) - boundary_matrix(middle, lower).rank()
+    return (len(middle), len(upper)), boundary_matrix(upper, middle).rank(), (len(lower), len(middle)), kernel
+
+
+def report_numbers(report):
+    return report.boundary_d_shape, report.boundary_d_rank, report.boundary_d1_shape, report.boundary_d1_kernel
 
 
 class TestClearing:
@@ -192,13 +199,16 @@ class TestClearing:
 
         monkeypatch.setattr(crosscut, "boundary_matrix", spy)
         report = analyze(d, J, side=SIDE_PRIMAL)
-        middle = len(enumerate_faces(J, d - 1))
-        rank_d = boundary_matrix(enumerate_faces(J, d), enumerate_faces(J, d - 1)).rank()
-        assert built == [report.boundary_d_shape[1], middle - rank_d]
+        (middle, _), rank_d, _, _ = direct_numbers(d, J)
+        # the columns built are those of the collapsed complex, the one reduced
+        K = collapse(d, J)[0]
+        (middle_K, upper_K), rank_K, _, _ = direct_numbers(d, K)
+        assert built == [upper_K, middle_K - rank_K]
         assert report.boundary_d_rank == rank_d > 0
         assert report.boundary_d1_shape[1] == middle
 
     def test_kernel_matches_reduction_without_clearing(self, corpus):
+        """All the numbers, shapes and rank too, match the reduction with neither collapse nor clearing."""
         for name, J in corpus:
             if J.m == 0 or J.n == 0:
                 continue
@@ -208,7 +218,48 @@ class TestClearing:
                 for d in range(max(J.d - 1, 1), J.d + 2):  # d = 0 has no homology to clear
                     report = analyze(d, J, side=side)
                     analyzed = J if report.side == SIDE_PRIMAL else transpose(J)
-                    assert report.boundary_d1_kernel == unclear_kernel(analyzed, d - 1), (name, d, side)
+                    assert report_numbers(report) == direct_numbers(d, analyzed), (name, d, side)
+
+
+def assert_collapse_exact(d, J, label=None):
+    """analyze's numbers on J, forced primal and forced dual, equal the direct reduction."""
+    for side, M in ((SIDE_PRIMAL, J), (SIDE_DUAL, transpose(J))):
+        assert report_numbers(analyze(d, J, side=side)) == direct_numbers(d, M), (label, d, side)
+
+
+class TestCollapse:
+    @pytest.mark.parametrize(
+        "d, rows",
+        [
+            (2, (0b1111, 0b11110000)),  # two components: C is only the empty face
+            (1, (0b111, 0b111000)),
+            (2, (0b1111, 0b11110000, 0b1100000000)),
+            (1, (0b111111, 0b111)),  # the first cone is the second row: one generator left
+        ],
+    )
+    def test_small_cases(self, d, rows):
+        assert_collapse_exact(d, IncidenceMinor(d, 10, rows))
+
+    def test_random_set_systems(self):
+        """Arbitrary rows, not only polytopes': nested, repeated, disjoint and empty ones."""
+        rng = random.Random(14)
+        for _ in range(400):
+            density = rng.random()
+            rows = tuple(sum(1 << v for v in range(8) if rng.random() < density) for _ in range(rng.randint(1, 6)))
+            d = rng.randint(1, 4)
+            assert_collapse_exact(d, IncidenceMinor(d, 8, rows), rows)
+
+    def test_collapse_fires_on_prism(self, monkeypatch):
+        built = []
+
+        def spy(upper, lower):
+            built.append(len(upper))
+            return boundary_matrix(upper, lower)
+
+        monkeypatch.setattr(crosscut, "boundary_matrix", spy)
+        report = analyze(4, prism(cyclic_incidence(3, 8)), side=SIDE_PRIMAL)
+        assert built[0] < report.boundary_d_shape[1]
+        assert built[1] < report.boundary_d1_shape[1]
 
 
 SPHERES = (

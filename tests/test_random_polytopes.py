@@ -31,6 +31,7 @@ from polycomplete.incidence import IncidenceMinor
 from polycomplete.pulling import find_certificate, verify_certificate
 
 from oracle import exact_hull, rank_over_q
+from test_crosscut import assert_collapse_exact
 
 PER_DIMENSION = 30
 CASES = [(d, i) for d in (2, 3, 4) for i in range(PER_DIMENSION)]
@@ -84,3 +85,15 @@ def test_random_polytope(d, i):
     cert = find_certificate(d - 1, below)
     if cert is not None:
         assert verify_certificate(d - 1, below, cert) is True
+
+
+@pytest.mark.parametrize("d, i", CASES, ids=[f"d{d}-{i}" for d, i in CASES])
+def test_collapse_exact_on_random_polytope(d, i):
+    """The collapsed decision's numbers equal the direct reduction's, at d-1, d and d+1."""
+    J = random_hull(random.Random(1000 * d + i), d).incidence()
+    minors = [J]
+    minors += [delete_minor(J, rows=[r]) for r in range(1, J.m + 1)]
+    minors += [delete_minor(J, cols=[c]) for c in range(1, J.n + 1)]
+    for M in minors:
+        for dd in (d - 1, d, d + 1):
+            assert_collapse_exact(dd, IncidenceMinor(dd, M.n, M.row_masks))
