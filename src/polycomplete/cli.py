@@ -18,7 +18,7 @@ from typing import Optional
 from . import fixtures
 from .crosscut import SIDE_AUTO, SIDE_DUAL, SIDE_PRIMAL, analyze
 from .geometry import parse_geometry, serialize_geometry, validate_instance
-from .incidence import parse_incidence, serialize_incidence
+from .incidence import decimal_int, parse_incidence, serialize_incidence
 from .pulling import find_certificate, parse_certificate, serialize_certificate, verify_certificate
 
 EXIT_YES = 0
@@ -136,7 +136,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if len(rest) != count:
         raise ValueError(f"family {family!r} takes {count} integer parameter(s)")
     try:
-        params = [int(t) for t in rest]
+        params = [decimal_int(t) for t in rest]
     except ValueError:
         raise ValueError(f"parameters for {family!r} must be integers") from None
     if args.geometry and prisms:

@@ -1,14 +1,15 @@
 """Crosscut complex and the homology completeness decision.
 
-The crosscut complex of an incidence minor is the simplicial complex of
-all vertex subsets contained in at least one facet row.  A minor of a
+The crosscut complex of an incidence minor has one rule: a face is a
+subset of some facet row, the empty face included.  A minor of a
 d-polytope's incidence matrix is complete exactly when the reduced
 (d-1)-st Z2 homology of this complex K is nonzero, which reduces to one
 rank and one kernel computation on two boundary matrices.
 
 Those matrices are built on a smaller complex K' that K collapses onto:
-``collapse`` replaces the full simplex of a big row with a cone over
-where it meets the other rows.  Each collapse pair lowers one boundary
+``collapse`` replaces the full simplex of a big row with a cone over C,
+where it meets the other rows.  C always holds the empty face, so a row
+alone becomes a single vertex.  Each collapse pair lowers one boundary
 rank by exactly one and takes one face from each of two adjacent layers,
 so the shapes, rank and kernel of K follow from those of K' and counts
 of the pairs.
@@ -40,7 +41,6 @@ class FaceLayer:
 
     Faces are vertex bitmasks, deduplicated across rows and sorted
     ascending, so downstream matrices are reproducible bit for bit.
-    k = -1 holds the single empty face 0.
     """
 
     k: int
@@ -53,15 +53,13 @@ class FaceLayer:
 def enumerate_faces(J: IncidenceMinor, k: int) -> FaceLayer:
     """Every (k+1)-subset of {1..n} contained in at least one row of J.
 
-    k = -1 yields the single empty face whenever the matrix is nonempty
-    (m > 0 or n > 0).  k beyond n-1 yields an empty layer, so callers can
-    ask for the layers any d requires without guarding degenerate minors.
+    A face is a subset of some row, so k = -1 holds the empty face 0
+    exactly when J has a row (no rows: the void complex), and k beyond the
+    largest row yields an empty layer; callers can ask for the layers any
+    d requires without guarding degenerate minors.
     """
     if k < -1:
         raise ValueError("face dimension k must be >= -1")
-    if k == -1:
-        present = J.m > 0 or J.n > 0
-        return FaceLayer(-1, (0,) if present else ())
     return FaceLayer(k, tuple(sorted(_subsets(J.row_masks, k + 1))))
 
 
@@ -117,28 +115,24 @@ def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
     """Rows of a complex K' that M's crosscut complex K collapses onto, and the pair counts q.
 
     One pass over the distinct rows, largest first.  A row F with more
-    than d+1 vertices and another generator beside it meets the others
-    in C, the union of the simplices on F & S (C holds the empty face).
-    Its simplex is replaced with the cone from the lowest vertex a of F
-    with F - a not in C, spanned by a and the maximal faces of C, if that
-    lowers the face bound sum_{k=d-2..d} C(|g|, k+1).  K collapses onto
-    K' through the pairs (t, t + a), t a subset of F - a not in C; a pair
-    with |t| = j takes one face from each of the layers j-1 and j and
-    lowers the rank of the boundary out of the j-faces by one, leaving
-    every other rank as it was.  q[i] counts the pairs with |t| = d-2+i.
-    M itself is returned when no row has more than d+1 vertices.
+    than d+1 vertices meets the other generators in C, the union of the
+    empty face and the simplices on F & S.  Its simplex is replaced with
+    the cone from the lowest vertex a of F with F - a not in C, spanned by
+    a and the maximal faces of C, if that lowers the face bound
+    sum_{k=d-2..d} C(|g|, k+1); a row alone has C = {empty face} and
+    becomes the vertex a.  K collapses onto K' through the pairs
+    (t, t + a), t a subset of F - a not in C; a pair with |t| = j takes
+    one face from each of the layers j-1 and j and lowers the rank of the
+    boundary out of the j-faces by one, leaving every other rank as it
+    was.  q[i] counts the pairs with |t| = d-2+i.
     """
     gens = set(M.row_masks)
     q = [0, 0, 0, 0]
     big = sorted((F for F in gens if F.bit_count() > d + 1), key=lambda F: (-F.bit_count(), F))
-    if not big:
-        return M, q
     for F in big:
-        if len(gens) == 1:
-            break  # F is the last generator: nothing else to meet
         size = F.bit_count()
         gens.remove(F)
-        meets = {F & S for S in gens}
+        meets = {0, *(F & S for S in gens)}
         apex = next((bit for bit in _bits(F) if F ^ bit not in meets), 0)
         tops: list[Face] = []
         for c in sorted(meets, key=int.bit_count, reverse=True):

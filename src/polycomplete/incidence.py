@@ -174,7 +174,7 @@ def parse_incidence(text: str) -> IncidenceMinor:
         # int(..., 2) would also take '_', a sign, a 0b prefix and non-ASCII digits
         rest = row.lstrip("01")
         if rest:
-            raise IncidenceFormatError(f"character {rest[0]!r} outside {{0,1,#}}", lineno)
+            raise IncidenceFormatError(f"character {rest[0]!r} outside {{0,1}}", lineno)
         masks.append(int(row[::-1] or "0", 2))
     return IncidenceMinor(d, n, tuple(masks))
 

@@ -304,6 +304,10 @@ GEN_CASES = {
     "cube-km 3": (2, "", "error: family 'cube-km' takes 0 integer parameter(s)\n"),
     "simplex x": (2, "", "error: parameters for 'simplex' must be integers\n"),
     "cyclic 4 8.0": (2, "", "error: parameters for 'cyclic' must be integers\n"),
+    "cyclic 3 1_0": (2, "", "error: parameters for 'cyclic' must be integers\n"),
+    "cyclic +3 7": (2, "", "error: parameters for 'cyclic' must be integers\n"),
+    "cyclic \u0663 7": (2, "", "error: parameters for 'cyclic' must be integers\n"),  # Arabic-Indic 3
+    "simplex \uff12": (2, "", "error: parameters for 'simplex' must be integers\n"),  # fullwidth 2
     "dodecahedron": (2, "", "error: unknown fixture family 'dodecahedron'\n"),
     "prism": (2, "", "error: missing fixture family\n"),
     "prism prism": (2, "", "error: missing fixture family\n"),
@@ -331,6 +335,8 @@ GEN_CASES = {
     "--geometry dodecahedron": (2, "", "error: unknown fixture family 'dodecahedron'\n"),
     "--geometry cyclic 2 2": (2, "", "error: cyclic polytope needs n > d >= 2\n"),
     "--geometry simplex x": (2, "", "error: parameters for 'simplex' must be integers\n"),
+    "--geometry simplex 0": (2, "", "error: simplex dimension must be at least 1\n"),
+    "--geometry crosspolytope 0": (2, "", "error: cross-polytope dimension must be at least 1\n"),
     "--geometry prism prism prism prism cube-km": (2, "", "error: no geometric coordinates for fixture family 'prism'\n"),
 }
 

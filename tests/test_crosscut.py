@@ -47,6 +47,8 @@ class TestEnumerateFaces:
         assert enumerate_faces(J, -1).faces == (0,)
         void = IncidenceMinor(0, 0, ())
         assert enumerate_faces(void, -1).faces == ()
+        no_rows = IncidenceMinor(1, 3, ())  # columns but no row: still the void complex
+        assert enumerate_faces(no_rows, -1).faces == ()
 
     def test_beyond_top_dimension_is_empty(self):
         J = IncidenceMinor.from_rows(2, 3, [(1, 2)])
@@ -235,6 +237,9 @@ class TestCollapse:
             (1, (0b111, 0b111000)),
             (2, (0b1111, 0b11110000, 0b1100000000)),
             (1, (0b111111, 0b111)),  # the first cone is the second row: one generator left
+            (4, (0b1111111111,)),  # a row alone: C is only the empty face, the cone a vertex
+            (8, (0b1111111111,)),
+            (2, (0b111111100, 0b111111100, 0b111111100)),  # one distinct row, repeated
         ],
     )
     def test_small_cases(self, d, rows):
@@ -248,6 +253,15 @@ class TestCollapse:
             rows = tuple(sum(1 << v for v in range(8) if rng.random() < density) for _ in range(rng.randint(1, 6)))
             d = rng.randint(1, 4)
             assert_collapse_exact(d, IncidenceMinor(d, 8, rows), rows)
+
+    def test_repeated_full_row_in_closed_form(self):
+        """24 copies of a 24-vertex row at d = 9: the numbers of the full 23-simplex."""
+        report = analyze(9, IncidenceMinor(9, 24, ((1 << 24) - 1,) * 24))
+        assert report.side == SIDE_PRIMAL
+        assert report.boundary_d_shape == (1307504, 1961256)  # C(24,9) x C(24,10)
+        assert report.boundary_d_rank == 817190  # C(23,9)
+        assert report.boundary_d1_shape == (735471, 1307504)  # C(24,8) x C(24,9)
+        assert report.boundary_d1_kernel == 817190
 
     def test_collapse_fires_on_prism(self, monkeypatch):
         built = []

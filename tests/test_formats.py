@@ -39,7 +39,7 @@ DIAGNOSTICS = [
     pytest.param(INC, "# only a comment\n\n", "missing header line 'd m n'", None, id="inc-comment-only"),
     # incidence: comments, CRLF, row counts
     pytest.param(
-        INC, "2 3 3\n110\n# between rows\n0x1\n101\n", "line 4: character 'x' outside {0,1,#}", 4, id="inc-comment-between"
+        INC, "2 3 3\n110\n# between rows\n0x1\n101\n", "line 4: character 'x' outside {0,1}", 4, id="inc-comment-between"
     ),
     pytest.param(INC, "# c\n\n2 3 3\n110\n# c\n011\n", "expected 3 rows, found 2", None, id="inc-comments-too-few"),
     pytest.param(INC, "2 3 3\r\n110\r\n011\r\n1012\r\n", "line 4: row has 4 characters, expected 3", 4, id="inc-crlf-long-row"),
@@ -57,18 +57,18 @@ DIAGNOSTICS = [
     pytest.param(INC, "1 1 0\n1\n", "line 2: row has 1 characters, expected 0", 2, id="inc-n0-wide-row"),
     pytest.param(INC, "1 2 0\n\n# c\n0\n", "line 4: row has 1 characters, expected 0", 4, id="inc-n0-comment-between"),
     # incidence: characters that int(..., 2) would accept or stumble on
-    pytest.param(INC, "1 1 3\n1_0\n", "line 2: character '_' outside {0,1,#}", 2, id="inc-underscore"),
-    pytest.param(INC, "1 1 3\n+10\n", "line 2: character '+' outside {0,1,#}", 2, id="inc-plus-first"),
-    pytest.param(INC, "1 1 3\n01+\n", "line 2: character '+' outside {0,1,#}", 2, id="inc-plus-last"),
-    pytest.param(INC, "1 1 3\n-10\n", "line 2: character '-' outside {0,1,#}", 2, id="inc-minus"),
-    pytest.param(INC, "1 1 3\n0b1\n", "line 2: character 'b' outside {0,1,#}", 2, id="inc-0b-prefix"),
-    pytest.param(INC, "1 1 3\n1b0\n", "line 2: character 'b' outside {0,1,#}", 2, id="inc-0b-reversed"),
-    pytest.param(INC, "1 1 3\n１01\n", "line 2: character '１' outside {0,1,#}", 2, id="inc-fullwidth-first"),
-    pytest.param(INC, "1 1 3\n10１\n", "line 2: character '１' outside {0,1,#}", 2, id="inc-fullwidth-last"),
-    pytest.param(INC, "1 1 3\n1 0\n", "line 2: character ' ' outside {0,1,#}", 2, id="inc-inner-space"),
-    pytest.param(INC, "1 1 3\n1\t0\n", "line 2: character '\\t' outside {0,1,#}", 2, id="inc-inner-tab"),
-    pytest.param(INC, "1 1 4\n0x10\n", "line 2: character 'x' outside {0,1,#}", 2, id="inc-hex"),
-    pytest.param(INC, "1 1 3\n102\n", "line 2: character '2' outside {0,1,#}", 2, id="inc-digit-2"),
+    pytest.param(INC, "1 1 3\n1_0\n", "line 2: character '_' outside {0,1}", 2, id="inc-underscore"),
+    pytest.param(INC, "1 1 3\n+10\n", "line 2: character '+' outside {0,1}", 2, id="inc-plus-first"),
+    pytest.param(INC, "1 1 3\n01+\n", "line 2: character '+' outside {0,1}", 2, id="inc-plus-last"),
+    pytest.param(INC, "1 1 3\n-10\n", "line 2: character '-' outside {0,1}", 2, id="inc-minus"),
+    pytest.param(INC, "1 1 3\n0b1\n", "line 2: character 'b' outside {0,1}", 2, id="inc-0b-prefix"),
+    pytest.param(INC, "1 1 3\n1b0\n", "line 2: character 'b' outside {0,1}", 2, id="inc-0b-reversed"),
+    pytest.param(INC, "1 1 3\n１01\n", "line 2: character '１' outside {0,1}", 2, id="inc-fullwidth-first"),
+    pytest.param(INC, "1 1 3\n10１\n", "line 2: character '１' outside {0,1}", 2, id="inc-fullwidth-last"),
+    pytest.param(INC, "1 1 3\n1 0\n", "line 2: character ' ' outside {0,1}", 2, id="inc-inner-space"),
+    pytest.param(INC, "1 1 3\n1\t0\n", "line 2: character '\\t' outside {0,1}", 2, id="inc-inner-tab"),
+    pytest.param(INC, "1 1 4\n0x10\n", "line 2: character 'x' outside {0,1}", 2, id="inc-hex"),
+    pytest.param(INC, "1 1 3\n102\n", "line 2: character '2' outside {0,1}", 2, id="inc-digit-2"),
     # geometry
     pytest.param(GEO, "", "missing header line 'd p h'", None, id="geo-empty"),
     pytest.param(GEO, "# c\n\n# c\n", "missing header line 'd p h'", None, id="geo-comment-only"),

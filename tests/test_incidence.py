@@ -85,7 +85,7 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(IncidenceFormatError) as err:
             parse_incidence("2 3 3\n110\n0x1\n101\n")
-        assert "0,1,#" in str(err.value)
+        assert "outside {0,1}" in str(err.value)
 
 
 class TestRoundTrip:
