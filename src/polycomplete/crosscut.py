@@ -117,14 +117,15 @@ def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
     One pass over the distinct rows, largest first.  A row F with more
     than d+1 vertices meets the other generators in C, the union of the
     empty face and the simplices on F & S.  Its simplex is replaced with
-    the cone from the lowest vertex a of F with F - a not in C, spanned by
-    a and the maximal faces of C, if that lowers the face bound
-    sum_{k=d-2..d} C(|g|, k+1); a row alone has C = {empty face} and
-    becomes the vertex a.  K collapses onto K' through the pairs
-    (t, t + a), t a subset of F - a not in C; a pair with |t| = j takes
-    one face from each of the layers j-1 and j and lowers the rank of the
-    boundary out of the j-faces by one, leaving every other rank as it
-    was.  q[i] counts the pairs with |t| = d-2+i.
+    the cone over C from the lowest vertex a of F with F - a not in C, if
+    that lowers the face bound sum_{k=d-2..d} C(|g|, k+1).  The cone is
+    listed as a + c for the maximal faces c of C without a, the only ones
+    that add a face: one with a is some F & S and already lies in S.  A
+    row alone has C = {empty face} and becomes the vertex a.  K collapses
+    onto K' through the pairs (t, t + a), t a subset of F - a not in C; a
+    pair with |t| = j takes one face from each of the layers j-1 and j and
+    lowers the rank of the boundary out of the j-faces by one, leaving
+    every other rank as it was.  q[i] counts the pairs with |t| = d-2+i.
     """
     gens = set(M.row_masks)
     q = [0, 0, 0, 0]
@@ -138,10 +139,11 @@ def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
         for c in sorted(meets, key=int.bit_count, reverse=True):
             if all(c & t != c for t in tops):
                 tops.append(c)
-        if not apex or sum(_face_bound(d, (apex | c).bit_count()) for c in tops) >= _face_bound(d, size):
+        cones = {apex | c for c in tops if not c & apex}
+        if not apex or sum(_face_bound(d, c.bit_count()) for c in cones) >= _face_bound(d, size):
             gens.add(F)
             continue
-        gens.update(apex | c for c in tops)
+        gens |= cones
         base = [c & ~apex for c in tops]
         for i, j in enumerate(range(d - 2, d + 2)):
             if j >= 0:

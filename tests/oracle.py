@@ -27,6 +27,16 @@ def supports(J: IncidenceMinor) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(j + 1 for j in range(J.n) if mask >> j & 1) for mask in J.row_masks)
 
 
+def pyramid(J: IncidenceMinor) -> IncidenceMinor:
+    """The pyramid over the polytope behind J: one apex, vertex n+1.
+
+    Each facet gains the apex, and the base, every old vertex, becomes a
+    facet.  Dimension goes up by one.
+    """
+    apex = 1 << J.n
+    return IncidenceMinor(J.d + 1, J.n + 1, (*(row | apex for row in J.row_masks), apex - 1))
+
+
 def gale_even(subset: Iterable[int], n: int) -> bool:
     """Gale's evenness criterion on a subset of {1..n}.
 

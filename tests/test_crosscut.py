@@ -240,6 +240,8 @@ class TestCollapse:
             (4, (0b1111111111,)),  # a row alone: C is only the empty face, the cone a vertex
             (8, (0b1111111111,)),
             (2, (0b111111100, 0b111111100, 0b111111100)),  # one distinct row, repeated
+            (1, (0b111, 0b1)),  # the apex lies in the other row: no cone, the triangle becomes vertex 1
+            (1, (0b11111, 0b11100)),  # a big row inside another big row
         ],
     )
     def test_small_cases(self, d, rows):
@@ -262,6 +264,12 @@ class TestCollapse:
         assert report.boundary_d_rank == 817190  # C(23,9)
         assert report.boundary_d1_shape == (735471, 1307504)  # C(24,8) x C(24,9)
         assert report.boundary_d1_kernel == 817190
+
+    def test_polar_prism_collapses_to_a_few_faces(self):
+        """No cone through a top of C that holds the apex: such a cone is F & S, and listing it keeps S whole."""
+        M = transpose(prism(cyclic_incidence(3, 18)))
+        K = collapse(4, M)[0]
+        assert len(enumerate_faces(K, 4)) <= 28 and len(enumerate_faces(K, 3)) <= 190
 
     def test_collapse_fires_on_prism(self, monkeypatch):
         built = []

@@ -10,6 +10,7 @@ from oracle import (
     homology_all_ranks,
     hull_facets,
     pulling_triangulation_by_flags,
+    pyramid,
     supports,
 )
 
@@ -113,3 +114,10 @@ class TestHullOracle:
         assert hull.vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
         assert hull.facets == ((-1, 0, 0), (0, -1, 0), (0, 1, 2), (1, 0, 2))
         assert hull.incidence() == IncidenceMinor(2, 4, (0b1001, 0b0011, 0b1100, 0b0110))
+
+    def test_pyramid_matches_the_hull_of_a_square_pyramid(self):
+        square = exact_hull([(0, 0), (2, 0), (2, 2), (0, 2)]).incidence()
+        hull = exact_hull([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 1)]).incidence()
+        P = pyramid(square)
+        assert (P.d, P.n) == (3, 5)
+        assert sorted(P.row_masks) == sorted(hull.row_masks)
