@@ -125,30 +125,70 @@ def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
     onto K' through the pairs (t, t + a), t a subset of F - a not in C; a
     pair with |t| = j takes one face from each of the layers j-1 and j and
     lowers the rank of the boundary out of the j-faces by one, leaving
-    every other rank as it was.  q[i] counts the pairs with |t| = d-2+i.
+    every other rank as it was.  q[i] counts the pairs with |t| = d-2+i:
+    C(|F|-1, j) minus the j-subsets of F - a in C, which are counted from
+    the maximal faces of C, listed only where they are few and small
+    (``_count_subsets``).
     """
     gens = set(M.row_masks)
     q = [0, 0, 0, 0]
+    sizes = range(max(d - 2, 0), d + 2)
     big = sorted((F for F in gens if F.bit_count() > d + 1), key=lambda F: (-F.bit_count(), F))
     for F in big:
         size = F.bit_count()
         gens.remove(F)
-        meets = {0, *(F & S for S in gens)}
+        meets = {0, *map(F.__and__, gens)}
         apex = next((bit for bit in _bits(F) if F ^ bit not in meets), 0)
-        tops: list[Face] = []
-        for c in sorted(meets, key=int.bit_count, reverse=True):
-            if all(c & t != c for t in tops):
-                tops.append(c)
+        tops = _maximal(meets)
         cones = {apex | c for c in tops if not c & apex}
         if not apex or sum(_face_bound(d, c.bit_count()) for c in cones) >= _face_bound(d, size):
             gens.add(F)
             continue
         gens |= cones
-        base = [c & ~apex for c in tops]
-        for i, j in enumerate(range(d - 2, d + 2)):
-            if j >= 0:
-                q[i] += comb(size - 1, j) - len(_subsets(base, j))
+        inside = _count_subsets({c & ~apex for c in tops}, sizes)
+        for j, count in zip(sizes, inside):
+            q[j - d + 2] += comb(size - 1, j) - count
     return IncidenceMinor(M.d, M.n, tuple(gens)), q
+
+
+def _maximal(faces: Iterable[Face]) -> list[Face]:
+    """The inclusion-maximal members of a set of faces, largest first."""
+    tops: list[Face] = []
+    for c in sorted(faces, key=int.bit_count, reverse=True):
+        for t in tops:
+            if c & t == c:
+                break
+        else:
+            tops.append(c)
+    return tops
+
+
+def _count_subsets(faces: Iterable[Face], sizes: range) -> list[int]:
+    """For each j in sizes, the j-sets that lie inside at least one of faces.
+
+    Counted without listing them, by recursion over the maximal faces
+    c_1..c_k: the count for c_1..c_k is the count for c_1..c_(k-1), plus
+    C(|c_k|, j), minus the count for the meets c_k & c_i (i < k), the sets
+    inside c_k that an earlier face already holds.  Faces with fewer than
+    min(sizes) vertices hold no such set and are dropped.  Where the
+    maximal faces hold at most 20 such sets each, listing the sets costs
+    less than the recursion, and they are listed instead.
+    """
+    lo = sizes.start
+    tops = _maximal(f for f in faces if f.bit_count() >= lo)
+    if sum(comb(c.bit_count(), j) for c in tops for j in sizes) <= 20 * len(tops):
+        return [len(_subsets(tops, j)) for j in sizes]
+    counts = [0] * len(sizes)
+    for k, c in enumerate(tops):
+        meets = {m for m in map(c.__and__, tops[:k]) if m.bit_count() >= lo}
+        if len(meets) > 1:
+            inner = _count_subsets(meets, sizes)
+        else:  # no meet, or one whose count is a binomial: no call
+            inner = [sum(comb(m.bit_count(), j) for m in meets) for j in sizes]
+        size = c.bit_count()
+        for i, j in enumerate(sizes):
+            counts[i] += comb(size, j) - inner[i]
+    return counts
 
 
 def _face_bound(d: int, size: int) -> int:

@@ -287,10 +287,16 @@ def parse_geometry(text: str) -> GeometricInstance:
     d+1 rationals (halfspace normal, then offset).  Rationals are
     integers, "num/den" or decimals ("0.5", ".5", "5."), each with an
     optional leading sign, and no exponents; '#' lines are comments.
+    Blank lines are ignored, except that when d = 0 each point is an
+    empty line.
     """
     lines = text_lines(text)
     d, p, h = read_header(lines, "d p h", GeometryFormatError)
-    body = [(no, ln) for no, ln in lines if ln]
+    body = [(no, ln) for no, ln in lines if ln or d == 0]
+    if d == 0:
+        # points are empty lines, as width-zero incidence rows are
+        while len(body) > p + h and not body[-1][1]:
+            body.pop()
     if len(body) != p + h:
         raise GeometryFormatError(f"expected {p} point and {h} halfspace lines, found {len(body)}")
     points = [_parse_rationals(ln, d, no) for no, ln in body[:p]]

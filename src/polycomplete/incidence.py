@@ -137,16 +137,26 @@ def transpose(J: IncidenceMinor) -> IncidenceMinor:
 
 
 def size_stats(J: IncidenceMinor) -> SizeStats:
-    """Max row support and max column support."""
-    s = max((mask.bit_count() for mask in J.row_masks), default=0)
-    col_counts: dict[int, int] = {}  # keyed by the column's bit
-    for mask in J.row_masks:
-        while mask:
-            low = mask & -mask
-            col_counts[low] = col_counts.get(low, 0) + 1
-            mask ^= low
-    s_col = max(col_counts.values(), default=0)
-    return SizeStats(s=s, s_col=s_col)
+    """Max row support and max column support.
+
+    Column supports are counted bit-sliced: the rows are added into a
+    vertical binary counter, plane b holding bit b of every column's count,
+    and the largest count is read from the top plane down.
+    """
+    planes: list[int] = []
+    for carry in J.row_masks:
+        b = 0
+        while carry:
+            if b == len(planes):
+                planes.append(0)
+            planes[b], carry = planes[b] ^ carry, planes[b] & carry
+            b += 1
+    cols, s_col = -1, 0  # -1: every column, without building an n-bit mask
+    for b in reversed(range(len(planes))):
+        if cols & planes[b]:
+            cols &= planes[b]
+            s_col |= 1 << b
+    return SizeStats(s=max(map(int.bit_count, J.row_masks), default=0), s_col=s_col)
 
 
 def parse_incidence(text: str) -> IncidenceMinor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from polycomplete.incidence import IncidenceMinor
@@ -35,6 +35,52 @@ def pyramid(J: IncidenceMinor) -> IncidenceMinor:
     """
     apex = 1 << J.n
     return IncidenceMinor(J.d + 1, J.n + 1, (*(row | apex for row in J.row_masks), apex - 1))
+
+
+def size_stats_by_cells(J: IncidenceMinor) -> tuple[int, int]:
+    """Max row support and max column support, counted one cell at a time.
+
+    Reads only the bits rows actually have, so a huge n with no rows is
+    cheap.
+    """
+    width = max((mask.bit_length() for mask in J.row_masks), default=0)
+    rows = [sum(mask >> j & 1 for j in range(width)) for mask in J.row_masks]
+    cols = [sum(mask >> j & 1 for mask in J.row_masks) for j in range(width)]
+    return max(rows, default=0), max(cols, default=0)
+
+
+def collapse_by_listing(d: int, rows: Iterable[int]) -> tuple[frozenset[frozenset[int]], list[int]]:
+    """The generators and the pair counts q of crosscut.collapse, with C listed face by face.
+
+    The same pass on explicit vertex sets: rows with more than d+1
+    vertices in turn, largest first (ties by mask).  C is every subset of
+    every meet F & S with another generator S, the empty set included;
+    the apex a is the lowest vertex of F with F - a not in C.  F is
+    replaced with the cones a + c over the maximal faces c of C without
+    a when their count of faces of dimension d-2..d is below F's.  q[i]
+    counts the (d-2+i)-subsets t of F - a with t not in C, each listed.
+    """
+
+    def bound(face: frozenset[int]) -> int:
+        return sum(comb(len(face), k + 1) for k in range(d - 2, d + 1) if k >= -1)
+
+    gens = {frozenset(j + 1 for j in range(row.bit_length()) if row >> j & 1) for row in rows}
+    q = [0, 0, 0, 0]
+    for F in sorted((F for F in gens if len(F) > d + 1), key=lambda F: (-len(F), vertex_mask(F))):
+        gens.remove(F)
+        meets = {F & S for S in gens} | {frozenset()}
+        C = {frozenset(t) for c in meets for size in range(len(c) + 1) for t in combinations(sorted(c), size)}
+        apex = next((a for a in sorted(F) if F - {a} not in C), None)
+        tops = [c for c in meets if not any(c < other for other in meets)]
+        cones = {c | {apex} for c in tops if apex not in c}
+        if apex is None or sum(map(bound, cones)) >= bound(F):
+            gens.add(F)
+            continue
+        gens |= cones
+        for i, j in enumerate(range(d - 2, d + 2)):
+            if j >= 0:
+                q[i] += sum(frozenset(t) not in C for t in combinations(sorted(F - {apex}), j))
+    return frozenset(gens), q
 
 
 def gale_even(subset: Iterable[int], n: int) -> bool:

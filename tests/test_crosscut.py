@@ -24,7 +24,7 @@ from polycomplete.fixtures import (
 )
 from polycomplete.incidence import IncidenceMinor, transpose
 
-from oracle import homology_all_ranks, supports
+from oracle import collapse_by_listing, homology_all_ranks, supports
 
 
 class TestEnumerateFaces:
@@ -282,6 +282,56 @@ class TestCollapse:
         report = analyze(4, prism(cyclic_incidence(3, 8)), side=SIDE_PRIMAL)
         assert built[0] < report.boundary_d_shape[1]
         assert built[1] < report.boundary_d1_shape[1]
+
+
+def maximal_faces(faces):
+    return {f for f in faces if not any(f < g for g in faces)}
+
+
+def assert_counts_by_listing(d, M, label=None):
+    """collapse's pair counts and complex equal those of the same pass with C listed face by face."""
+    K, q = collapse(d, M)
+    gens, q_listed = collapse_by_listing(d, M.row_masks)
+    assert q == q_listed, label
+    # a row inside another generator may stay in one and be dropped in the other: compare complexes
+    assert maximal_faces(set(map(frozenset, supports(K)))) == maximal_faces(gens), label
+
+
+class TestCollapseCounts:
+    """The pair counts, counted from C's maximal faces, against C listed face by face."""
+
+    def test_random_set_systems(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            d = rng.randint(1, 6)
+            n = rng.randint(d + 2, 12)
+            rows = []
+            for _ in range(rng.randint(1, 8)):
+                size = rng.randint(d + 2, n) if rng.random() < 0.6 else rng.randint(0, d + 1)
+                rows.append(sum(1 << v for v in rng.sample(range(n), size)))
+            assert_counts_by_listing(d, IncidenceMinor(d, n, tuple(rows)), rows)
+
+    @pytest.mark.parametrize(
+        "name, J",
+        [
+            ("prism-cyclic-3-14", prism(cyclic_incidence(3, 14))),
+            ("prism-cyclic-3-14-r26", delete_minor(prism(cyclic_incidence(3, 14)), rows=[26])),
+            ("prism-cyclic-3-18", prism(cyclic_incidence(3, 18))),
+            ("prism-cyclic-3-18-r19", delete_minor(prism(cyclic_incidence(3, 18)), rows=[19])),
+            ("prism-cyclic-4-16", prism(cyclic_incidence(4, 16))),
+            ("prism-cyclic-4-16-r88", delete_minor(prism(cyclic_incidence(4, 16)), rows=[88])),
+            ("prism-cyclic-3-18-polar", transpose(prism(cyclic_incidence(3, 18)))),
+        ],
+    )
+    def test_ladder_prism_rungs(self, name, J):
+        """The benchmark's prism rungs and their seed-1 minors, on the side the decision picks."""
+        M = J if analyze(J.d, J).side == SIDE_PRIMAL else transpose(J)
+        assert_counts_by_listing(J.d, M, name)
+
+    def test_forced_dual_cyclic_4_40(self):
+        """40 rows of 74 vertices, where listing the faces of C takes tens of seconds."""
+        q = collapse(4, transpose(cyclic_incidence(4, 40)))[1]
+        assert q == [48_863, 1_867_185, 38_228_962, 565_241_523]
 
 
 SPHERES = (

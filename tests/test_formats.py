@@ -85,6 +85,13 @@ DIAGNOSTICS = [
     pytest.param(
         GEO, "2 1 1\n0 0\n0 0 0\n", "line 3: halfspace normal must not be identically zero", 3, id="geo-zero-normal"
     ),
+    # geometry: d = 0, whose points are blank lines
+    pytest.param(GEO, "0 2 0\n\n", "expected 2 point and 0 halfspace lines, found 1", None, id="geo-d0-too-few"),
+    pytest.param(GEO, "0 1 0\n\n\n1\n", "expected 1 point and 0 halfspace lines, found 3", None, id="geo-d0-surplus"),
+    pytest.param(GEO, "0 1 0\n1\n", "line 2: expected 0 rationals, found 1", 2, id="geo-d0-wide-point"),
+    pytest.param(
+        GEO, "0 1 1\n\n1\n", "line 3: halfspace normal must not be identically zero", 3, id="geo-d0-halfspace"
+    ),
     pytest.param(GEO, "1 1 1\n1/0\n1 1\n", "line 2: bad rational '1/0'", 2, id="geo-zero-denominator"),
     pytest.param(GEO, "1 1 1\n0\n1e3 1\n", "line 3: bad rational '1e3'", 3, id="geo-exponent"),
     pytest.param(GEO, "1_0 1 1\n0\n1 1\n", f"line 1: {HEADER_DPH}", 1, id="geo-header-underscore"),

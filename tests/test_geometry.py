@@ -383,6 +383,14 @@ class TestTextFormat:
         inst = geometric_cube_km()
         assert parse_geometry(serialize_geometry(inst)) == inst
 
+    def test_round_trip_d0(self):
+        """A point in dimension 0 has no coordinates: its line is empty, as a width-zero incidence row is."""
+        inst = GeometricInstance(0, ((),), ())
+        assert validate_instance(inst).ok
+        assert serialize_geometry(inst) == "0 1 0\n\n"
+        assert parse_geometry(serialize_geometry(inst)) == inst
+        assert parse_geometry("# one point\n0 1 0\n\n\n\n") == inst
+
     def test_fraction_coordinates(self):
         inst = parse_geometry("1 2 2\n-1/2\n3/2\n-1 1/2\n1 3/2\n")
         assert inst.points == ((Fraction(-1, 2),), (Fraction(3, 2),))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from polycomplete.incidence import (
     transpose,
 )
 
-from oracle import permutation_equivalent, supports
+from oracle import permutation_equivalent, size_stats_by_cells, supports
 
 KM_TEXT = """\
 3 6 8
@@ -137,6 +139,30 @@ class TestSizeStats:
     def test_triangle(self):
         stats = size_stats(parse_incidence(TRIANGLE_TEXT))
         assert (stats.s, stats.s_col) == (2, 2)
+
+    def test_random_matrices_match_cell_count(self):
+        """Densities from empty to full, so column counts reach every bit of the counter."""
+        rng = random.Random(3)
+        for _ in range(500):
+            m, n = rng.randint(0, 40), rng.randint(0, 70)
+            density = rng.random()
+            J = IncidenceMinor(1, n, tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(m)))
+            stats = size_stats(J)
+            assert (stats.s, stats.s_col) == size_stats_by_cells(J), J
+
+    @pytest.mark.parametrize(
+        "J, expected",
+        [
+            (IncidenceMinor(2, 5, ()), (0, 0)),  # m = 0
+            (IncidenceMinor(2, 0, (0, 0, 0)), (0, 0)),  # n = 0
+            (IncidenceMinor(2, 9, ((1 << 9) - 1,)), (9, 1)),  # one all-ones row
+            (IncidenceMinor(2, 7, ((1 << 7) - 1,) * 64), (7, 64)),  # every count a power of two at once
+            (IncidenceMinor(3, 10**20, ()), (0, 0)),  # a width no mask of all columns could hold
+        ],
+    )
+    def test_edge_shapes(self, J, expected):
+        stats = size_stats(J)
+        assert (stats.s, stats.s_col) == expected == size_stats_by_cells(J)
 
     @given(minors())
     def test_transpose_swaps_stats(self, J):
