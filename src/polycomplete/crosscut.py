@@ -127,8 +127,7 @@ def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
     lowers the rank of the boundary out of the j-faces by one, leaving
     every other rank as it was.  q[i] counts the pairs with |t| = d-2+i:
     C(|F|-1, j) minus the j-subsets of F - a in C, which are counted from
-    the maximal faces of C, listed only where they are few and small
-    (``_count_subsets``).
+    the maximal faces of C (``_count_subsets``).
     """
     gens = set(M.row_masks)
     q = [0, 0, 0, 0]
@@ -170,21 +169,13 @@ def _count_subsets(faces: Iterable[Face], sizes: range) -> list[int]:
     c_1..c_k: the count for c_1..c_k is the count for c_1..c_(k-1), plus
     C(|c_k|, j), minus the count for the meets c_k & c_i (i < k), the sets
     inside c_k that an earlier face already holds.  Faces with fewer than
-    min(sizes) vertices hold no such set and are dropped.  Where the
-    maximal faces hold at most 20 such sets each, listing the sets costs
-    less than the recursion, and they are listed instead.
+    min(sizes) vertices hold no such set and are dropped.
     """
     lo = sizes.start
     tops = _maximal(f for f in faces if f.bit_count() >= lo)
-    if sum(comb(c.bit_count(), j) for c in tops for j in sizes) <= 20 * len(tops):
-        return [len(_subsets(tops, j)) for j in sizes]
     counts = [0] * len(sizes)
     for k, c in enumerate(tops):
-        meets = {m for m in map(c.__and__, tops[:k]) if m.bit_count() >= lo}
-        if len(meets) > 1:
-            inner = _count_subsets(meets, sizes)
-        else:  # no meet, or one whose count is a binomial: no call
-            inner = [sum(comb(m.bit_count(), j) for m in meets) for j in sizes]
+        inner = _count_subsets(map(c.__and__, tops[:k]), sizes)
         size = c.bit_count()
         for i, j in enumerate(sizes):
             counts[i] += comb(size, j) - inner[i]

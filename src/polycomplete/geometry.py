@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .incidence import FormatError, IncidenceMinor, decimal_int, read_header, text_lines
+from .incidence import FormatError, IncidenceMinor, body_lines, decimal_int, read_header, text_lines
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -292,11 +292,7 @@ def parse_geometry(text: str) -> GeometricInstance:
     """
     lines = text_lines(text)
     d, p, h = read_header(lines, "d p h", GeometryFormatError)
-    body = [(no, ln) for no, ln in lines if ln or d == 0]
-    if d == 0:
-        # points are empty lines, as width-zero incidence rows are
-        while len(body) > p + h and not body[-1][1]:
-            body.pop()
+    body = body_lines(lines, p + h, d == 0)  # points are empty lines when d = 0
     if len(body) != p + h:
         raise GeometryFormatError(f"expected {p} point and {h} halfspace lines, found {len(body)}")
     points = [_parse_rationals(ln, d, no) for no, ln in body[:p]]

@@ -77,6 +77,20 @@ def read_header(lines: Iterator[tuple[int, str]], names: str, error: type[Format
     return a, b, c
 
 
+def body_lines(lines: Iterator[tuple[int, str]], count: int, width_zero: bool) -> list[tuple[int, str]]:
+    """The data lines after the header: the nonblank ones, or all when width_zero.
+
+    Width-zero records serialize as empty lines, so then blank lines are
+    kept; surplus empties beyond count would be ambiguous, so they are
+    dropped from the end only.
+    """
+    body = [(lineno, line) for lineno, line in lines if line or width_zero]
+    if width_zero:
+        while len(body) > count and not body[-1][1]:
+            body.pop()
+    return body
+
+
 @dataclass(frozen=True)
 class SizeStats:
     """Maximal row support s and maximal column support s_col."""
@@ -169,12 +183,7 @@ def parse_incidence(text: str) -> IncidenceMinor:
     """
     lines = text_lines(text)
     d, m, n = read_header(lines, "d m n", IncidenceFormatError)
-    data = [(lineno, row) for lineno, row in lines if row or n == 0]
-    if n == 0:
-        # width-zero rows serialize as empty lines; trailing blanks beyond m
-        # would be ambiguous, so drop surplus empties from the end only
-        while len(data) > m and not data[-1][1]:
-            data.pop()
+    data = body_lines(lines, m, n == 0)
     if len(data) != m:
         raise IncidenceFormatError(f"expected {m} rows, found {len(data)}")
     masks = []
