@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable
 
 from .geometry import GeometricInstance, Halfspace
-from .incidence import IncidenceMinor
+from .incidence import IncidenceMinor, vertices
 
 KM_FACETS = (
     (1, 2, 3, 4),
@@ -189,9 +189,8 @@ def geometric_cyclic(d: int, n: int) -> GeometricInstance:
     halfspaces = []
     for mask in cyclic_incidence(d, n).row_masks:
         coeffs = [1]  # of prod (t - t_i), constant term first
-        for t in range(1, n + 1):
-            if mask >> (t - 1) & 1:
-                coeffs = [a - t * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        for t in vertices(mask):
+            coeffs = [a - t * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
         offset = -coeffs[0]
         normal = tuple(Fraction(c, offset) for c in coeffs[1:])
         outside = points[((mask + 1) & ~mask).bit_length() - 1]  # lowest vertex off the facet

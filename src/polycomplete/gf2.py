@@ -9,26 +9,16 @@ are all the homology decision needs; no Smith normal form, no other fields.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 
 class Gf2Matrix:
-    """An nrows x ncols matrix over GF(2), columns packed as integers."""
+    """An nrows x len(cols) matrix over GF(2), columns packed as integers."""
 
+    # perfbench/tracer.py wraps rank and reads nrows and ncols, so they stay
     __slots__ = ("nrows", "ncols", "cols", "pivots")
 
-    def __init__(self, nrows: int, ncols: int, cols: Sequence[int]):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        cols = list(cols)
-        if len(cols) != ncols:
-            raise ValueError(f"expected {ncols} columns, got {len(cols)}")
-        limit = 1 << nrows
-        for j, c in enumerate(cols):
-            if not 0 <= c < limit:
-                raise ValueError(f"column {j}: bits set beyond row {nrows - 1}")
+    def __init__(self, nrows: int, cols: list[int]):
         self.nrows = nrows
-        self.ncols = ncols
+        self.ncols = len(cols)
         self.cols = cols
         self.pivots: dict[int, int] = {}
 

@@ -20,9 +20,19 @@ from typing import Iterable, Iterator, Optional
 Face = int  # vertex bitmask: bit v-1 stands for vertex v
 
 
+def bits(face: Face) -> list[Face]:
+    """The one-bit masks of a face's vertices, lowest first."""
+    out = []
+    while face:
+        low = face & -face
+        out.append(low)
+        face ^= low
+    return out
+
+
 def vertices(face: Face) -> tuple[int, ...]:
     """The increasing 1-based vertex labels of a face mask."""
-    return tuple(j + 1 for j in range(face.bit_length()) if face >> j & 1)
+    return tuple(low.bit_length() for low in bits(face))
 
 
 class FormatError(ValueError):
@@ -143,10 +153,8 @@ def transpose(J: IncidenceMinor) -> IncidenceMinor:
     """The n x m transpose with the same d; an involution."""
     masks = [0] * J.n
     for i, mask in enumerate(J.row_masks):
-        while mask:
-            low = mask & -mask
+        for low in bits(mask):
             masks[low.bit_length() - 1] |= 1 << i
-            mask ^= low
     return IncidenceMinor(J.d, J.m, tuple(masks))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .incidence import Face, FormatError, IncidenceMinor, decimal_int, text_lines, vertices
+from .incidence import Face, FormatError, IncidenceMinor, bits, decimal_int, text_lines, vertices
 
 
 class CertificateFormatError(FormatError):
@@ -128,10 +128,7 @@ def _cofacets(d: int, J: IncidenceMinor, ridge: Face, memo: dict[Face, bool]) ->
         if r & ridge == ridge:
             star |= r
     cofacets = []
-    rest = star & ~ridge
-    while rest:
-        low = rest & -rest
-        rest ^= low
+    for low in bits(star & ~ridge):
         cand = ridge | low
         if cand not in memo:
             memo[cand] = is_pulling_facet(d, J, cand)

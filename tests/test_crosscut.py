@@ -89,16 +89,6 @@ class TestBoundaryMatrix:
         assert (bd.nrows, bd.ncols) == (1, 2)
         assert bd.cols == [1, 1]
 
-    def test_layer_mismatch(self, km):
-        with pytest.raises(ValueError):
-            boundary_matrix(enumerate_faces(km, 3), enumerate_faces(km, 1))
-
-    def test_missing_lower_face_rejected(self):
-        upper = enumerate_faces(IncidenceMinor.from_rows(2, 3, [(1, 2, 3)]), 2)
-        lower = enumerate_faces(IncidenceMinor.from_rows(2, 3, [(1, 2), (1, 3)]), 1)
-        with pytest.raises(ValueError, match=r"missing face \{2, 3\}"):
-            boundary_matrix(upper, lower)
-
 
 class TestCompleteness:
     def test_km_yes_at_3(self, km):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from polycomplete.incidence import (
     IncidenceFormatError,
     IncidenceMinor,
+    bits,
     parse_incidence,
     serialize_incidence,
     size_stats,
     transpose,
+    vertices,
 )
 
 from oracle import permutation_equivalent, size_stats_by_cells, supports
@@ -105,6 +107,23 @@ class TestRoundTrip:
     def test_writer_format_exact(self):
         assert serialize_incidence(parse_incidence(KM_TEXT)) == KM_TEXT
         assert "\r" not in serialize_incidence(parse_incidence(KM_TEXT))
+
+
+class TestBitWalk:
+    def test_bits_and_vertices_on_random_masks(self):
+        assert bits(0) == []
+        assert vertices(0) == ()
+        rng = random.Random(18)
+        masks = [1, 1 << 63, 1 << 64, 1 << 200 | 5]
+        masks += [rng.getrandbits(rng.choice((8, 64, 65, 130, 300))) for _ in range(300)]
+        for mask in masks:
+            walk = bits(mask)
+            assert all(low.bit_count() == 1 for low in walk)
+            assert all(a < b for a, b in zip(walk, walk[1:]))
+            assert sum(walk) == mask
+            # reference decoder: test every bit position
+            assert vertices(mask) == tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+        assert vertices(1 << 200 | 5) == (1, 3, 201)
 
 
 class TestTranspose:
