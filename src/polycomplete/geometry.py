@@ -9,8 +9,12 @@ matrix one has to take on faith.
 Rationals are scaled to integers once per object: a halfspace a.x <= b
 as L(b, -a) and a point x as (D, Dx), L and D > 0 the lcms of their
 denominators, so that their dot product is the integer slack LD(b - a.x).
-Ranks are taken by one exact fraction-free elimination on those integers.
-An affine rank is the rank of the points' homogeneous forms, minus one.
+Validation sweeps the pairs twice, as tightness stays with the one builder
+of the incidence matrix, extract_incidence (perfbench counts its calls to
+Halfspace.is_tight), while containment reads each slack's sign inline.
+The other checks read the tight masks and take their rank rows from the
+set bits.  Ranks are taken by one exact fraction-free elimination; an
+affine rank is the rank of the points' homogeneous forms, minus one.
 
 The validation here covers exactly the Gaussian-elimination-expressible
 preconditions of the geometric completeness problem: containment, full
@@ -29,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .incidence import FormatError, IncidenceMinor, body_lines, decimal_int, read_header, text_lines
+from .incidence import FormatError, IncidenceMinor, bits, body_lines, decimal_int, read_header, text_lines
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -74,13 +78,9 @@ class Halfspace:
         _, b, *a = _homogeneous((self.offset, *self.normal))
         return (b, *(-x for x in a))
 
-    def slack(self, point: Sequence[int]) -> int:
-        """L*D*(offset - normal . x) for a point in homogeneous form (D, D*x)."""
-        return sum(map(mul, self.integer_form, point))
-
     def is_tight(self, point: Sequence[int]) -> bool:
         """Whether a point in homogeneous form (D, D*x) lies on the hyperplane."""
-        return self.slack(point) == 0
+        return sum(map(mul, self.integer_form, point)) == 0
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         return sum((a * x for a, x in zip(self.normal, point)), Fraction(0))
@@ -144,21 +144,21 @@ def rational_rank(rows: Sequence[Sequence[int]], bound: int) -> int:
     of one basis entry plus one.  Every integer stays polynomial in the
     bit size of the input.
     """
-    basis: list[tuple[int, Sequence[int]]] = []  # (pivot column, primitive row)
+    basis: list[tuple[int, int, Sequence[int]]] = []  # (pivot column, pivot, primitive row)
     for row in rows:
         if len(basis) == bound:
             break
-        for col, b in basis:
+        for col, p, b in basis:
             f = row[col]
             if f:
-                p = b[col]
                 row = [x * p - f * y for x, y in zip(row, b)]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            g = gcd(*row)
-            if g != 1:
-                row = [x // g for x in row]
-            basis.append((col, row))
+        for col, x in enumerate(row):
+            if x:
+                g = gcd(*row)
+                if g != 1:
+                    row = [y // g for y in row]
+                basis.append((col, row[col], row))
+                break
     return len(basis)
 
 
@@ -171,23 +171,20 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
     points), (c) every point on at least d tight halfspaces with normals
     spanning dimension d, (d) every halfspace tight on points that
     affinely span dimension d-1.  Duplicate points are rejected up front.
-    Tightness is evaluated once, by extract_incidence; checks (b) to (d)
-    read its row masks, and the report carries that matrix.
     """
     issues: list[ValidationIssue] = []
     seen: dict[RationalPoint, int] = {}
     for i, p in enumerate(inst.points, start=1):
-        if p in seen:
-            issues.append(
-                ValidationIssue(CHECK_DISTINCT, f"point {i}", f"duplicates point {seen[p]}")
-            )
-        else:
-            seen[p] = i
+        first = seen.setdefault(p, i)
+        if first != i:
+            issues.append(ValidationIssue(CHECK_DISTINCT, f"point {i}", f"duplicates point {first}"))
 
     homogeneous = inst.homogeneous_points
+    forms = [h.integer_form for h in inst.halfspaces]
     for i, (p, hp) in enumerate(zip(inst.points, homogeneous), start=1):
-        for k, h in enumerate(inst.halfspaces, start=1):
-            if h.slack(hp) < 0:
+        for k, form in enumerate(forms, start=1):
+            if sum(map(mul, form, hp)) < 0:  # the integer slack of the pair
+                h = inst.halfspaces[k - 1]
                 try:
                     values = f" ({h.evaluate(p)} > {h.offset})"
                 except ValueError:  # an integer past sys.get_int_max_str_digits()
@@ -216,21 +213,24 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
                 )
             )
 
-    for i in range(len(inst.points)):
-        normals = [h.integer_form[1:] for h, mask in zip(inst.halfspaces, tight) if mask >> i & 1]
-        span = rational_rank(normals, inst.d)
+    normals: list[list[tuple[int, ...]]] = [[] for _ in inst.points]  # each point's tight normals
+    for normal, mask in zip((form[1:] for form in forms), tight):
+        for low in bits(mask):
+            normals[low.bit_length() - 1].append(normal)
+    for i, rows in enumerate(normals, start=1):
+        span = rational_rank(rows, inst.d)
         if span != inst.d:
             issues.append(
                 ValidationIssue(
                     CHECK_VERTEX,
-                    f"point {i + 1}",
+                    f"point {i}",
                     f"tight halfspace normals span dimension {span}, expected {inst.d}",
                 )
             )
 
     for k, mask in enumerate(tight, start=1):
         # the tight points lie in the halfspace's hyperplane: rank at most d
-        rank = rational_rank([p for j, p in enumerate(homogeneous) if mask >> j & 1], inst.d) - 1
+        rank = rational_rank([homogeneous[low.bit_length() - 1] for low in bits(mask)], inst.d) - 1
         if rank != inst.d - 1:
             issues.append(
                 ValidationIssue(

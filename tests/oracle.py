@@ -232,6 +232,25 @@ def rank_over_q(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def tight_masks_and_violations(inst) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """Each halfspace's tight-point mask and the strictly violated pairs.
+
+    Every (point, halfspace) pair is read once in Fractions, normal . point
+    against offset, never through the integer forms.  A mask has bit j for
+    point j+1; the violations are 1-based (point, halfspace), point-major.
+    """
+    tight = [0] * len(inst.halfspaces)
+    violations = []
+    for i, p in enumerate(inst.points):
+        for k, h in enumerate(inst.halfspaces):
+            value = h.evaluate(p)
+            if value == h.offset:
+                tight[k] |= 1 << i
+            elif value > h.offset:
+                violations.append((i + 1, k + 1))
+    return tuple(tight), violations
+
+
 def _solve_hyperplane(points: Sequence[Sequence[Fraction]]):
     """Unique hyperplane a.x = b through the points, or None (own solver)."""
     if not points:

@@ -32,7 +32,7 @@ from polycomplete.geometry import (
 )
 from polycomplete.incidence import serialize_incidence
 
-from oracle import permutation_equivalent, rank_over_q, supports
+from oracle import permutation_equivalent, rank_over_q, supports, tight_masks_and_violations
 
 
 def failures(report, check):
@@ -168,13 +168,24 @@ def _flat_cube():
     return GeometricInstance(3, points, geometric_cube_km().halfspaces)
 
 
+def _bare_triangle():
+    # no halfspaces: each vertex check ranks an empty row list
+    return GeometricInstance(2, ((0, 0), (1, 0), (0, 1)), ())
+
+
+def _triangle_loose_halfspace():
+    # x + y <= 5 is tight on no point: the facet check ranks no rows
+    return GeometricInstance(2, ((0, 0), (1, 0), (0, 1)), (Halfspace((1, 1), 5),))
+
+
 TIGHT_EVERYWHERE = "tight on every point, so the bodies cannot both be full-dimensional"
 FACET_SPAN = "tight points affinely span dimension {}, expected 2"
 FACET_SPAN_2D = "tight points affinely span dimension {}, expected 1"
+NO_NORMALS_2D = "tight halfspace normals span dimension 0, expected 2"
 
 
 class TestGoldenIssues:
-    """Pinned, in order, every (check, subject, detail) of two failing instances."""
+    """Pinned, in order, every (check, subject, detail) of four failing instances."""
 
     @pytest.mark.parametrize(
         "make, expected",
@@ -202,6 +213,14 @@ class TestGoldenIssues:
                     (CHECK_FACET, "halfspace 4", FACET_SPAN.format(1)),
                     (CHECK_FACET, "halfspace 5", FACET_SPAN.format(1)),
                     (CHECK_FACET, "halfspace 6", FACET_SPAN.format(-1)),
+                ],
+            ),
+            (_bare_triangle, [(CHECK_VERTEX, f"point {i}", NO_NORMALS_2D) for i in (1, 2, 3)]),
+            (
+                _triangle_loose_halfspace,
+                [
+                    *[(CHECK_VERTEX, f"point {i}", NO_NORMALS_2D) for i in (1, 2, 3)],
+                    (CHECK_FACET, "halfspace 1", FACET_SPAN_2D.format(-1)),
                 ],
             ),
         ],
@@ -343,6 +362,32 @@ class TestGoldenDamaged:
             digest.update(serialize_incidence(report.incidence).encode())
         assert failing == 351
         assert digest.hexdigest() == "eeb1e56a8fd37ceaa63c495634488f17c4f19fa4d43aa27c5f0d5a7e49673b30"
+
+
+def _containment_pairs(report):
+    """The (point, halfspace) pair each containment issue names, in report order."""
+    return [(int(i.subject.split()[1]), int(i.detail.split()[2])) for i in failures(report, CHECK_CONTAINMENT)]
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        lambda: _damaged_instances(400, 20260101),
+        lambda: [geometric_cube_km(), geometric_simplex(3), geometric_crosspolytope(4), geometric_cyclic(4, 8)],
+        lambda: [make() for make in (_two_outside_points, _flat_cube, _bare_triangle, _triangle_loose_halfspace)]
+        + [_p_triangle(), _p_triangle(((0, 0), (P, 0)))],
+    ],
+    ids=["damaged", "fixtures", "hand-built"],
+)
+def test_sweeps_match_the_fraction_reference(instances):
+    """Both pair sweeps of validate_instance against Fractions: the tight
+    masks its report carries, and the strict violations its containment
+    issues name, in order."""
+    for inst in instances():
+        report = validate_instance(inst)
+        tight, violations = tight_masks_and_violations(inst)
+        assert report.incidence.row_masks == tight
+        assert _containment_pairs(report) == violations
 
 
 class TestScalingInvariance:
