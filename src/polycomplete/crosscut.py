@@ -12,7 +12,8 @@ where it meets the other rows.  C always holds the empty face, so a row
 alone becomes a single vertex.  Each collapse pair lowers one boundary
 rank by exactly one and takes one face from each of two adjacent layers,
 so the shapes, rank and kernel of K follow from those of K' and counts
-of the pairs.
+of the pairs.  Only K''s top layer is listed from its rows;
+``boundary_matrix`` finds each layer below as the facets of the one above.
 
 Reduced homology is used uniformly: the boundary from the vertex layer to
 the empty-face layer is the all-ones augmentation row.  That makes the
@@ -39,8 +40,10 @@ SIDE_DUAL = "dual"
 class FaceLayer:
     """All k-dimensional faces ((k+1)-subsets) of a crosscut complex.
 
-    Faces are vertex bitmasks, deduplicated across rows and sorted
-    ascending, so downstream matrices are reproducible bit for bit.
+    Faces are vertex bitmasks without repeats, in a fixed order: sorted
+    ascending when enumerated from the rows, first met when found as
+    facets of the layer above.  Rank and kernel do not depend on the
+    order, and a fixed one keeps the matrices reproducible bit for bit.
     """
 
     k: int
@@ -72,17 +75,26 @@ def _subsets(rows: Iterable[Face], size: int) -> set[Face]:
     return seen
 
 
-def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
-    """Z2 boundary matrix from the upper layer to the lower one.
+def boundary_matrix(upper: FaceLayer, J: IncidenceMinor) -> tuple[Gf2Matrix, FaceLayer]:
+    """Z2 boundary matrix out of upper, and the layer below it found in the same pass.
 
     One column per upper face, one row per lower face; entry 1 iff the
-    lower face is a codimension-1 subset of the upper face, that is the
-    upper face with one bit cleared.  Each column is built as a mask over
-    the lower layer's indices, the orientation Gf2Matrix reduces.  With
-    lower.k = -1 this is the augmentation row of all ones.  The layers come
-    from one complex, so lower holds every facet of each upper face.
+    lower face is the upper face with one bit cleared.  Each column is
+    built as a mask over the lower layer's indices, the orientation
+    Gf2Matrix reduces.  A lower face is numbered the first time it is met
+    as a facet of an upper face; after the pass the rows of J with
+    exactly upper.k vertices are appended if not yet met.  With upper.k =
+    0 the lower layer is the empty face and the matrix the augmentation
+    row of all ones.
+
+    That is J's whole (k-1)-layer when upper covers it: every (k-1)-face
+    of J that lies in a larger face is a facet of some face in upper.
+    The full k-layer covers it, since every k-subset of a row with more
+    than k vertices is a facet of one of its (k+1)-subsets, and a face in
+    no larger one is itself a row.  So does the part of it that clearing
+    keeps (see ``analyze``).
     """
-    index = {f: i for i, f in enumerate(lower.faces)}
+    index: dict[Face, int] = {}
     cols = []
     for face in upper.faces:
         col = 0
@@ -90,9 +102,12 @@ def boundary_matrix(upper: FaceLayer, lower: FaceLayer) -> Gf2Matrix:
         while rest:  # inline, not bits(): a list per face measured slower in check
             low = rest & -rest
             rest ^= low
-            col |= 1 << index[face ^ low]
+            col |= 1 << index.setdefault(face ^ low, len(index))
         cols.append(col)
-    return Gf2Matrix(len(lower), cols)
+    for row in J.row_masks:
+        if row.bit_count() == upper.k and row not in index:
+            index[row] = len(index)
+    return Gf2Matrix(len(index), cols), FaceLayer(upper.k - 1, tuple(index))
 
 
 def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
@@ -202,14 +217,20 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     side selects which matrix the homology is computed on: "primal" is J
     itself, "dual" its transpose (same answer either way), "auto" picks
     the smaller problem by comparing max row and column support, ties
-    toward primal.  The faces are enumerated on the collapsed complex K'
+    toward primal.  The homology is computed on the collapsed complex K'
     of that side, and the report gives the numbers of the original
     complex K: with q_j the collapse pairs (t, t + a) with |t| = j,
     n_k(K) = n_k(K') + q_k + q_{k+1}, rank d(K) = rank d(K') + q_d and
-    rank d-1(K) = rank d-1(K') + q_{d-1}.  One boundary matrix is alive
-    at a time: the d-layer and its boundary are released before the
-    (d-2)-layer is built, and the second boundary gets only the columns
-    that clearing keeps.
+    rank d-1(K) = rank d-1(K') + q_{d-1}.
+
+    One boundary matrix is alive at a time: the d-layer and its boundary
+    are released before the second boundary is built, and that one gets
+    only the (d-1)-faces that clearing keeps.  They still cover the
+    (d-2)-layer.  Suppose every (d-1)-face through a (d-2)-face g were
+    cleared, and let f be the one numbered lowest.  f tops a reduced
+    column of the first boundary.  That column is a sum of boundaries, so
+    a cycle, and holds g in an even number of its faces: in a second one,
+    numbered below its top f, a contradiction.
     """
     if d < 0:
         raise ValueError("dimension d must be nonnegative")
@@ -227,18 +248,17 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     M = J if side == SIDE_PRIMAL else transpose(J)
     K, (q_dm2, q_dm1, q_d, q_dp1) = collapse(d, M)  # pairs with |t| = d-2 .. d+1
     upper = enumerate_faces(K, d)
-    middle = enumerate_faces(K, d - 1)
+    boundary_d, middle = boundary_matrix(upper, K)
     n_middle = len(middle) + q_dm1 + q_d
     shape_d = (n_middle, len(upper) + q_d + q_dp1)
-    boundary_d = boundary_matrix(upper, middle)
     rank_d = boundary_d.rank() + q_d
     # clearing: the top face of a reduced column of boundary_d tops a cycle,
     # so its own boundary column is a sum of earlier ones and is not built
     cleared = boundary_d.pivots
     kept = FaceLayer(d - 1, tuple(f for i, f in enumerate(middle.faces, 1) if i not in cleared))
     del upper, middle, boundary_d, cleared
-    lower = enumerate_faces(K, d - 2)
-    kernel_d1 = n_middle - boundary_matrix(kept, lower).rank() - q_dm1
+    boundary_d1, lower = boundary_matrix(kept, K)
+    kernel_d1 = n_middle - boundary_d1.rank() - q_dm1
     return CompletenessReport(
         d=d,
         side=side,

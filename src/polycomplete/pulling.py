@@ -120,13 +120,18 @@ def find_pulling_facet(d: int, J: IncidenceMinor) -> Optional[Face]:
 def _cofacets(d: int, J: IncidenceMinor, ridge: Face, memo: dict[Face, bool]) -> list[Face]:
     """The pulling facets containing the (d-1)-set ridge; memo caches membership.
 
-    Only vertices in a row containing the ridge are tried: a pulling
-    facet lies inside its first row F1, so F1 contains the ridge.
+    A candidate ridge + w passes the greedy's first step iff some row
+    contains it and starts at its lowest vertex.  So only those w are
+    tried: every vertex of a row that contains the ridge and starts where
+    the ridge does, and the lowest vertex of a row that contains the ridge
+    and starts below it.  Any other w fails ``is_pulling_facet`` at step 1.
     """
+    first = ridge & -ridge
     star = 0
     for r in J.row_masks:
         if r & ridge == ridge:
-            star |= r
+            start = r & -r
+            star |= r if start == first else start
     cofacets = []
     for low in bits(star & ~ridge):
         cand = ridge | low
@@ -140,9 +145,9 @@ def _cofacets(d: int, J: IncidenceMinor, ridge: Face, memo: dict[Face, bool]) ->
 def ridge_cofacet_count(d: int, J: IncidenceMinor, ridge: Face) -> int:
     """How many pulling facets contain the (d-1)-set given as a mask.
 
-    Tries the extensions by a vertex outside the ridge that lies in some
-    row containing it, so at most n-d+1; for d = 1 the ridge is the empty
-    set and this counts the singleton facets.
+    Tries only the extensions by a vertex outside the ridge that can pass
+    the greedy's first step (see ``_cofacets``), so at most n-d+1; for
+    d = 1 the ridge is the empty set and this counts the singleton facets.
     """
     _check_face(d - 1, J, ridge, "ridge")
     return len(_cofacets(d, J, ridge, {}))

@@ -138,6 +138,30 @@ def _rank_unpacked(mat: list[list[int]]) -> int:
     return rank
 
 
+def boundary_columns(upper: Sequence[int], lower: Sequence[int]) -> list[int]:
+    """The Z2 boundary between two explicitly given layers of vertex masks.
+
+    One integer per upper face; bit i is set iff lower[i] is that face
+    with one vertex removed.  Only the two given layers are read, so the
+    matrix does not depend on how the production code finds a layer.
+    """
+    index = {f: i for i, f in enumerate(lower)}
+    return [sum(1 << index[face & ~(1 << v)] for v in range(face.bit_length()) if face >> v & 1) for face in upper]
+
+
+def gf2_rank(cols: Iterable[int]) -> int:
+    """Rank over Z2 of columns packed as integers, by keeping a basis keyed on the lowest bit."""
+    basis: dict[int, int] = {}
+    for col in cols:
+        while col:
+            low = col & -col
+            if low not in basis:
+                basis[low] = col
+                break
+            col ^= basis[low]
+    return len(basis)
+
+
 def homology_all_ranks(J: IncidenceMinor, max_faces: int = 10_000) -> BettiProfile:
     """All reduced Z2 Betti numbers of the crosscut complex of J.
 

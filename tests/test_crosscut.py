@@ -8,6 +8,7 @@ from polycomplete.crosscut import (
     SIDE_AUTO,
     SIDE_DUAL,
     SIDE_PRIMAL,
+    FaceLayer,
     analyze,
     boundary_matrix,
     collapse,
@@ -24,7 +25,7 @@ from polycomplete.fixtures import (
 )
 from polycomplete.incidence import IncidenceMinor, transpose
 
-from oracle import collapse_by_listing, homology_all_ranks, supports
+from oracle import boundary_columns, collapse_by_listing, gf2_rank, homology_all_ranks, supports
 
 
 class TestEnumerateFaces:
@@ -65,29 +66,105 @@ class TestEnumerateFaces:
 class TestBoundaryMatrix:
     def test_triangle_boundary_column(self):
         J = IncidenceMinor.from_rows(2, 3, [(1, 2, 3)])
-        upper = enumerate_faces(J, 2)
-        lower = enumerate_faces(J, 1)
-        bd = boundary_matrix(upper, lower)
+        bd, lower = boundary_matrix(enumerate_faces(J, 2), J)
         assert (bd.nrows, bd.ncols) == (3, 1)
         assert bd.cols == [0b111]
+        assert (lower.k, set(lower.faces)) == (1, set(enumerate_faces(J, 1).faces))
 
     def test_empty_upper_layer(self, km):
-        bd = boundary_matrix(enumerate_faces(km, 4), enumerate_faces(km, 3))
+        # no 4-faces: the 3-faces are the six rows, appended after the pass
+        bd, lower = boundary_matrix(enumerate_faces(km, 4), km)
         assert (bd.nrows, bd.ncols) == (6, 0)
         assert bd.rank() == 0
+        assert lower.faces == km.row_masks
 
     def test_km_top_boundary_injective(self, km):
         # no 3-subset lies in two rows (facet intersections have size <= 2),
         # so the 24x6 matrix has disjoint column supports
-        bd = boundary_matrix(enumerate_faces(km, 3), enumerate_faces(km, 2))
+        bd, lower = boundary_matrix(enumerate_faces(km, 3), km)
         assert (bd.nrows, bd.ncols) == (24, 6)
         assert bd.rank() == 6
+        assert set(lower.faces) == set(enumerate_faces(km, 2).faces)
 
     def test_augmentation_row(self):
         J = IncidenceMinor.from_rows(1, 3, [(1,), (3,)])
-        bd = boundary_matrix(enumerate_faces(J, 0), enumerate_faces(J, -1))
+        bd, lower = boundary_matrix(enumerate_faces(J, 0), J)
         assert (bd.nrows, bd.ncols) == (1, 2)
         assert bd.cols == [1, 1]
+        assert lower.faces == (0,)
+
+    def test_columns_match_explicit_layers(self, km):
+        """Each column, read back through the found layer, is the face's facets."""
+        upper = enumerate_faces(km, 3)
+        bd, lower = boundary_matrix(upper, km)
+        assert bd.cols == boundary_columns(upper.faces, lower.faces)
+
+
+def layers_from_above(d, J):
+    """The (d-1)- and (d-2)-layers as boundary_matrix finds them, starting from the enumerated d-layer."""
+    _, middle = boundary_matrix(enumerate_faces(J, d), J)
+    _, lower = boundary_matrix(middle, J)
+    return middle, lower
+
+
+class TestLayersFromAbove:
+    """The layers found as facets of the layer above equal the enumerated ones, as sets."""
+
+    def assert_layers(self, d, J, label=None):
+        middle, lower = layers_from_above(d, J)
+        assert len(middle) == len(set(middle.faces)) and len(lower) == len(set(lower.faces)), label
+        assert set(middle.faces) == set(enumerate_faces(J, d - 1).faces), label
+        assert set(lower.faces) == set(enumerate_faces(J, d - 2).faces), label
+
+    def test_random_set_systems(self):
+        rng = random.Random(20)
+        for _ in range(600):
+            d = rng.randint(1, 6)
+            n = rng.randint(1, 10)
+            density = rng.random()
+            rows = tuple(sum(1 << v for v in range(n) if rng.random() < density) for _ in range(rng.randint(1, 7)))
+            self.assert_layers(d, IncidenceMinor(d, n, rows), (d, rows))
+
+    @pytest.mark.parametrize(
+        "d, rows",
+        [
+            (1, (0,)),  # only an empty row: the empty face and nothing above it
+            (1, (0, 0b1)),
+            (1, (0, 0b110)),
+            (3, (0b111, 0b11100000)),  # rows of exactly d vertices in no larger row
+            (3, (0b11, 0b1111000)),  # a row of exactly d-1 vertices in no larger row
+            (3, (0b11, 0b111000, 0b11110000000)),
+            (2, (0b1, 0b110, 0b11000)),  # rows of d-1 and d vertices only: no d-faces at all
+        ],
+    )
+    def test_rows_in_no_larger_row(self, d, rows):
+        self.assert_layers(d, IncidenceMinor(d, 12, rows))
+
+    def test_forced_sides_of_collapsed_complexes(self, corpus):
+        """On each side the decision can pick, the complex K' it reduces."""
+        for name, J in corpus:
+            if J.m == 0 or J.n == 0:
+                continue
+            for M in (J, transpose(J)):
+                for d in range(max(J.d - 1, 1), J.d + 2):
+                    self.assert_layers(d, collapse(d, M)[0], (name, d))
+
+    def test_kept_faces_cover_the_layer_below(self):
+        """The (d-2)-layer found from the (d-1)-faces that clearing keeps is the whole layer."""
+        rng = random.Random(21)
+        cleared_any = 0
+        for _ in range(400):
+            d = rng.randint(1, 6)
+            n = rng.randint(d + 1, 10)
+            rows = tuple(sum(1 << v for v in rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(1, 6)))
+            J = IncidenceMinor(d, n, rows)
+            bd, middle = boundary_matrix(enumerate_faces(J, d), J)
+            bd.rank()
+            kept = tuple(f for i, f in enumerate(middle.faces, 1) if i not in bd.pivots)
+            cleared_any += len(kept) < len(middle)
+            _, lower = boundary_matrix(FaceLayer(d - 1, kept), J)
+            assert set(lower.faces) == set(enumerate_faces(J, d - 2).faces), (d, rows)
+        assert cleared_any > 100
 
 
 class TestCompleteness:
@@ -155,10 +232,10 @@ class TestOneBoundaryAtATime:
         uppers = []
         alive = []
 
-        def spy(upper, lower):
+        def spy(upper, J):
             alive.append([ref() is not None for ref in uppers])
             uppers.append(weakref.ref(upper))
-            return boundary_matrix(upper, lower)
+            return boundary_matrix(upper, J)
 
         monkeypatch.setattr(crosscut, "boundary_matrix", spy)
         assert analyze(4, prism(cyclic_incidence(3, 8))).complete is True
@@ -166,10 +243,15 @@ class TestOneBoundaryAtATime:
 
 
 def direct_numbers(d, M):
-    """Shapes, rank and kernel of M's crosscut complex, every face built and no column cleared."""
-    upper, middle, lower = (enumerate_faces(M, k) for k in (d, d - 1, d - 2))
-    kernel = len(middle) - boundary_matrix(middle, lower).rank()
-    return (len(middle), len(upper)), boundary_matrix(upper, middle).rank(), (len(lower), len(middle)), kernel
+    """Shapes, rank and kernel of M's crosscut complex, every face built and no column cleared.
+
+    Each layer is enumerated from the rows, and each boundary is built and
+    reduced by the test oracle between two explicitly given layers.
+    """
+    upper, middle, lower = (enumerate_faces(M, k).faces for k in (d, d - 1, d - 2))
+    kernel = len(middle) - gf2_rank(boundary_columns(middle, lower))
+    rank = gf2_rank(boundary_columns(upper, middle))
+    return (len(middle), len(upper)), rank, (len(lower), len(middle)), kernel
 
 
 def report_numbers(report):
@@ -184,10 +266,10 @@ class TestClearing:
     def test_second_boundary_gets_only_uncleared_columns(self, monkeypatch, d, J):
         built = []
 
-        def spy(upper, lower):
-            matrix = boundary_matrix(upper, lower)
+        def spy(upper, K):
+            matrix, lower = boundary_matrix(upper, K)
             built.append(matrix.ncols)
-            return matrix
+            return matrix, lower
 
         monkeypatch.setattr(crosscut, "boundary_matrix", spy)
         report = analyze(d, J, side=SIDE_PRIMAL)
@@ -264,9 +346,9 @@ class TestCollapse:
     def test_collapse_fires_on_prism(self, monkeypatch):
         built = []
 
-        def spy(upper, lower):
+        def spy(upper, K):
             built.append(len(upper))
-            return boundary_matrix(upper, lower)
+            return boundary_matrix(upper, K)
 
         monkeypatch.setattr(crosscut, "boundary_matrix", spy)
         report = analyze(4, prism(cyclic_incidence(3, 8)), side=SIDE_PRIMAL)
@@ -369,9 +451,11 @@ class TestOracleEquivalence:
         profile = homology_all_ranks(J)
         top = max((len(s) for s in supports(J)), default=0) - 1
         for k in range(0, top + 1):
-            upper = enumerate_faces(J, k + 1)
             this = enumerate_faces(J, k)
-            lower = enumerate_faces(J, k - 1)
-            kernel = len(this) - boundary_matrix(this, lower).rank()
-            rank_up = boundary_matrix(upper, this).rank()
+            bd_this, lower = boundary_matrix(this, J)
+            bd_up, found = boundary_matrix(enumerate_faces(J, k + 1), J)
+            assert set(found.faces) == set(this.faces), f"degree {k}"
+            assert set(lower.faces) == set(enumerate_faces(J, k - 1).faces), f"degree {k}"
+            kernel = len(this) - bd_this.rank()
+            rank_up = bd_up.rank()
             assert kernel - rank_up == profile.betti(k), f"degree {k}"

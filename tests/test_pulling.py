@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from polycomplete.fixtures import (
     simplex_incidence,
 )
 from polycomplete import pulling
-from polycomplete.incidence import IncidenceMinor
+from polycomplete.incidence import IncidenceMinor, bits
 from polycomplete.pulling import (
     CertificateFormatError,
     CertificateKind,
@@ -111,6 +112,64 @@ class TestRidgeCofacetCount:
         segment = simplex_incidence(1)
         assert ridge_cofacet_count(1, segment, 0) == 2
         assert ridge_cofacet_count(1, delete_minor(segment, rows=[2]), 0) == 1
+
+
+def unfiltered_cofacets(d, J, ridge, memo):
+    """_cofacets without the step-1 filter: every vertex of a row holding the ridge is tried."""
+    star = 0
+    for r in J.row_masks:
+        if r & ridge == ridge:
+            star |= r
+    cofacets = []
+    for low in bits(star & ~ridge):
+        cand = ridge | low
+        if cand not in memo:
+            memo[cand] = pulling.is_pulling_facet(d, J, cand)
+        if memo[cand]:
+            cofacets.append(cand)
+    return cofacets
+
+
+class TestStepOneFilter:
+    """_cofacets tries only the vertices that can pass the greedy's first step, and finds the same facets."""
+
+    def test_random_matrices_every_ridge(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            n = rng.randint(d, 9)
+            density = rng.random()
+            rows = tuple(sum(1 << v for v in range(n) if rng.random() < density) for _ in range(rng.randint(0, 8)))
+            J = IncidenceMinor(d, n, rows)
+            for ridge in combinations(range(n), d - 1):
+                ridge = sum(1 << v for v in ridge)
+                assert pulling._cofacets(d, J, ridge, {}) == unfiltered_cofacets(d, J, ridge, {}), (d, rows, ridge)
+
+    @pytest.mark.parametrize(
+        "d, J", [(3, cube_km()), (4, cyclic_incidence(4, 10)), (3, delete_minor(cube_km(), rows=[1], cols=[5]))]
+    )
+    def test_fixture_ridges(self, d, J):
+        for ridge in combinations(range(J.n), d - 1):
+            ridge = sum(1 << v for v in ridge)
+            assert pulling._cofacets(d, J, ridge, {}) == unfiltered_cofacets(d, J, ridge, {})
+
+    def test_membership_tests_in_the_walk(self, monkeypatch):
+        """The complete walk of prism(prism(cube-km)) makes 5,144 membership tests; unfiltered it made 6,884."""
+        J = prism(prism(cube_km()))
+        member = pulling.is_pulling_facet
+        calls = []
+
+        def counting(d, J, candidate):
+            calls.append(candidate)
+            return member(d, J, candidate)
+
+        monkeypatch.setattr(pulling, "is_pulling_facet", counting)
+        assert find_certificate(5, J) is None
+        assert len(calls) == len(set(calls)) == 5_144
+        calls.clear()
+        monkeypatch.setattr(pulling, "_cofacets", unfiltered_cofacets)
+        assert find_certificate(5, J) is None
+        assert len(calls) == 6_884
 
 
 class TestFindCertificate:
