@@ -9,11 +9,11 @@ rank and one kernel computation on two boundary matrices.
 Those matrices are built on a smaller complex K' that K collapses onto:
 ``collapse`` replaces the full simplex of a big row with a cone over C,
 where it meets the other rows.  C always holds the empty face, so a row
-alone becomes a single vertex.  Each collapse pair lowers one boundary
-rank by exactly one and takes one face from each of two adjacent layers,
-so the shapes, rank and kernel of K follow from those of K' and counts
-of the pairs.  Only K''s top layer is listed from its rows;
-``boundary_matrix`` finds each layer below as the facets of the one above.
+alone becomes a single vertex.  Collapsing keeps the homology, and the
+rank and kernel of K follow from those of K' and one count of pairs; the
+shapes of K are its faces, counted from its rows without listing them.
+Only K''s top layer is listed from its rows; ``boundary_matrix`` finds
+each layer below as the facets of the one above.
 
 Reduced homology is used uniformly: the boundary from the vertex layer to
 the empty-face layer is the all-ones augmentation row.  That makes the
@@ -63,16 +63,11 @@ def enumerate_faces(J: IncidenceMinor, k: int) -> FaceLayer:
     """
     if k < -1:
         raise ValueError("face dimension k must be >= -1")
-    return FaceLayer(k, tuple(sorted(_subsets(J.row_masks, k + 1))))
-
-
-def _subsets(rows: Iterable[Face], size: int) -> set[Face]:
-    """Every size-subset of some row; the empty face 0 when size is 0."""
-    seen: set[Face] = set()
-    for row in rows:
-        if row.bit_count() >= size:
-            seen.update(map(sum, combinations(bits(row), size)))
-    return seen
+    faces: set[Face] = set()
+    for row in J.row_masks:
+        if row.bit_count() > k:
+            faces.update(map(sum, combinations(bits(row), k + 1)))
+    return FaceLayer(k, tuple(sorted(faces)))
 
 
 def boundary_matrix(upper: FaceLayer, J: IncidenceMinor) -> tuple[Gf2Matrix, FaceLayer]:
@@ -110,8 +105,8 @@ def boundary_matrix(upper: FaceLayer, J: IncidenceMinor) -> tuple[Gf2Matrix, Fac
     return Gf2Matrix(len(index), cols), FaceLayer(upper.k - 1, tuple(index))
 
 
-def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
-    """Rows of a complex K' that M's crosscut complex K collapses onto, and the pair counts q.
+def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, int]:
+    """Rows of a complex K' that M's crosscut complex K collapses onto, and the pair count q.
 
     One pass over the distinct rows, largest first.  A row F with more
     than d+1 vertices meets the other generators in C, the union of the
@@ -122,15 +117,15 @@ def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
     that add a face: one with a is some F & S and already lies in S.  A
     row alone has C = {empty face} and becomes the vertex a.  K collapses
     onto K' through the pairs (t, t + a), t a subset of F - a not in C; a
-    pair with |t| = j takes one face from each of the layers j-1 and j and
-    lowers the rank of the boundary out of the j-faces by one, leaving
-    every other rank as it was.  q[i] counts the pairs with |t| = d-2+i:
-    C(|F|-1, j) minus the j-subsets of F - a in C, which are counted from
-    the maximal faces of C (``_count_subsets``).
+    pair with |t| = d lowers the rank of the boundary out of the d-faces
+    by one and leaves the rank out of the (d-1)-faces as it was.  q counts
+    those pairs: C(|F|-1, d) minus the d-subsets of F - a in C, which are
+    counted from the maximal faces of C (``_count_subsets``).  M itself
+    is returned when no row is replaced.
     """
     gens = set(M.row_masks)
-    q = [0, 0, 0, 0]
-    sizes = range(max(d - 2, 0), d + 2)
+    q = 0
+    replaced = False
     big = sorted((F for F in gens if F.bit_count() > d + 1), key=lambda F: (-F.bit_count(), F))
     for F in big:
         size = F.bit_count()
@@ -143,10 +138,10 @@ def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, list[int]]:
             gens.add(F)
             continue
         gens |= cones
-        inside = _count_subsets({c & ~apex for c in tops}, sizes)
-        for j, count in zip(sizes, inside):
-            q[j - d + 2] += comb(size - 1, j) - count
-    return IncidenceMinor(M.d, M.n, tuple(gens)), q
+        (inside,) = _count_subsets({c & ~apex for c in tops}, range(d, d + 1))
+        q += comb(size - 1, d) - inside
+        replaced = True
+    return (IncidenceMinor(M.d, M.n, tuple(gens)) if replaced else M), q
 
 
 def _maximal(faces: Iterable[Face]) -> list[Face]:
@@ -219,9 +214,11 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     the smaller problem by comparing max row and column support, ties
     toward primal.  The homology is computed on the collapsed complex K'
     of that side, and the report gives the numbers of the original
-    complex K: with q_j the collapse pairs (t, t + a) with |t| = j,
-    n_k(K) = n_k(K') + q_k + q_{k+1}, rank d(K) = rank d(K') + q_d and
-    rank d-1(K) = rank d-1(K') + q_{d-1}.
+    complex K.  A pair of ``collapse`` with |t| = j takes a face from
+    the layers j-1 and j and lowers rank j by one, so only the q pairs
+    with |t| = d move rank d and kernel d-1, each by one, and the answer
+    does not read q.  The shapes are K's face counts: the layer lengths
+    when nothing collapsed, else counted from M's rows.
 
     One boundary matrix is alive at a time: the d-layer and its boundary
     are released before the second boundary is built, and that one gets
@@ -246,26 +243,28 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     if side == SIDE_AUTO:
         side = SIDE_PRIMAL if stats.s <= stats.s_col else SIDE_DUAL
     M = J if side == SIDE_PRIMAL else transpose(J)
-    K, (q_dm2, q_dm1, q_d, q_dp1) = collapse(d, M)  # pairs with |t| = d-2 .. d+1
+    K, q = collapse(d, M)
     upper = enumerate_faces(K, d)
     boundary_d, middle = boundary_matrix(upper, K)
-    n_middle = len(middle) + q_dm1 + q_d
-    shape_d = (n_middle, len(upper) + q_d + q_dp1)
-    rank_d = boundary_d.rank() + q_d
+    n_middle, n_upper = len(middle), len(upper)
+    rank_d = boundary_d.rank() + q
     # clearing: the top face of a reduced column of boundary_d tops a cycle,
     # so its own boundary column is a sum of earlier ones and is not built
     cleared = boundary_d.pivots
     kept = FaceLayer(d - 1, tuple(f for i, f in enumerate(middle.faces, 1) if i not in cleared))
     del upper, middle, boundary_d, cleared
     boundary_d1, lower = boundary_matrix(kept, K)
-    kernel_d1 = n_middle - boundary_d1.rank() - q_dm1
+    kernel_d1 = n_middle - boundary_d1.rank() + q
+    n_lower = len(lower)
+    if K is not M:  # K's faces with d-1, d and d+1 vertices
+        n_lower, n_middle, n_upper = _count_subsets(M.row_masks, range(d - 1, d + 2))
     return CompletenessReport(
         d=d,
         side=side,
         stats=stats,
-        boundary_d_shape=shape_d,
+        boundary_d_shape=(n_middle, n_upper),
         boundary_d_rank=rank_d,
-        boundary_d1_shape=(len(lower) + q_dm2 + q_dm1, n_middle),
+        boundary_d1_shape=(n_lower, n_middle),
         boundary_d1_kernel=kernel_d1,
         complete=kernel_d1 > rank_d,
     )

@@ -37,6 +37,21 @@ def pyramid(J: IncidenceMinor) -> IncidenceMinor:
     return IncidenceMinor(J.d + 1, J.n + 1, (*(row | apex for row in J.row_masks), apex - 1))
 
 
+def facet_adjacency(J: IncidenceMinor) -> list[set[int]]:
+    """For each row (0-based), the other rows it meets in an inclusion-maximal meet.
+
+    Row i is adjacent to row j when the vertex set they share lies in no
+    larger one that row i shares with a third row.  On a polytope's
+    facets these are the pairs that share a ridge.
+    """
+    rows = [frozenset(s) for s in supports(J)]
+    adjacent = []
+    for i, F in enumerate(rows):
+        meets = {j: F & G for j, G in enumerate(rows) if j != i}
+        adjacent.append({j for j, c in meets.items() if not any(c < other for other in meets.values())})
+    return adjacent
+
+
 def size_stats_by_cells(J: IncidenceMinor) -> tuple[int, int]:
     """Max row support and max column support, counted one cell at a time.
 

@@ -258,20 +258,26 @@ def report_numbers(report):
     return report.boundary_d_shape, report.boundary_d_rank, report.boundary_d1_shape, report.boundary_d1_kernel
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The column count of each boundary matrix that analyze builds, in order."""
+    built = []
+
+    def spy(upper, K):
+        matrix, lower = boundary_matrix(upper, K)
+        built.append(matrix.ncols)
+        return matrix, lower
+
+    monkeypatch.setattr(crosscut, "boundary_matrix", spy)
+    return built
+
+
 class TestClearing:
     @pytest.mark.parametrize(
         "d,J",
         [(4, prism(cyclic_incidence(3, 8))), (3, cube_km()), (4, delete_minor(prism(cube_km()), rows=[3]))],
     )
-    def test_second_boundary_gets_only_uncleared_columns(self, monkeypatch, d, J):
-        built = []
-
-        def spy(upper, K):
-            matrix, lower = boundary_matrix(upper, K)
-            built.append(matrix.ncols)
-            return matrix, lower
-
-        monkeypatch.setattr(crosscut, "boundary_matrix", spy)
+    def test_second_boundary_gets_only_uncleared_columns(self, built, d, J):
         report = analyze(d, J, side=SIDE_PRIMAL)
         (middle, _), rank_d, _, _ = direct_numbers(d, J)
         # the columns built are those of the collapsed complex, the one reduced
@@ -293,6 +299,33 @@ class TestClearing:
                     report = analyze(d, J, side=side)
                     analyzed = J if report.side == SIDE_PRIMAL else transpose(J)
                     assert report_numbers(report) == direct_numbers(d, analyzed), (name, d, side)
+
+
+def regime_minors(rng, J):
+    """J and a seeded sample of its single-row and single-column minors."""
+    yield J
+    for r in rng.sample(range(1, J.m + 1), min(J.m, 8)):
+        yield delete_minor(J, rows=[r])
+    for c in rng.sample(range(1, J.n + 1), min(J.n, 8)):
+        yield delete_minor(J, cols=[c])
+
+
+class TestPolynomialRegime:
+    """On simplicial and simple input the decision builds at most (d+1) max(m, n) columns.
+
+    Counts, not times.  The side chosen has rows of at most d vertices, so
+    it has no d-face, and the second boundary gets at most one column per
+    row.  The polar reads the same complex from the other side.
+    """
+
+    @pytest.mark.parametrize("d, n", [(d, n) for d in (3, 4, 5) for n in (d + 3, 20, 30)])
+    def test_cyclic_and_polar_and_minors(self, built, d, n):
+        rng = random.Random(100 * d + n)
+        J = cyclic_incidence(d, n)
+        for M in (*regime_minors(rng, J), *regime_minors(rng, transpose(J))):
+            built.clear()
+            analyze(d, M)
+            assert len(built) == 2 and sum(built) <= (d + 1) * max(M.m, M.n), (d, n, M.m, M.n, built)
 
 
 def assert_collapse_exact(d, J, label=None):
@@ -356,21 +389,32 @@ class TestCollapse:
         assert built[1] < report.boundary_d1_shape[1]
 
 
+LADDER_PRISM_RUNGS = [
+    ("prism-cyclic-3-14", prism(cyclic_incidence(3, 14))),
+    ("prism-cyclic-3-14-r26", delete_minor(prism(cyclic_incidence(3, 14)), rows=[26])),
+    ("prism-cyclic-3-18", prism(cyclic_incidence(3, 18))),
+    ("prism-cyclic-3-18-r19", delete_minor(prism(cyclic_incidence(3, 18)), rows=[19])),
+    ("prism-cyclic-4-16", prism(cyclic_incidence(4, 16))),
+    ("prism-cyclic-4-16-r88", delete_minor(prism(cyclic_incidence(4, 16)), rows=[88])),
+    ("prism-cyclic-3-18-polar", transpose(prism(cyclic_incidence(3, 18)))),
+]
+
+
 def maximal_faces(faces):
     return {f for f in faces if not any(f < g for g in faces)}
 
 
 def assert_counts_by_listing(d, M, label=None):
-    """collapse's pair counts and complex equal those of the same pass with C listed face by face."""
+    """collapse's pair count and complex equal those of the same pass with C listed face by face."""
     K, q = collapse(d, M)
     gens, q_listed = collapse_by_listing(d, M.row_masks)
-    assert q == q_listed, label
+    assert q == q_listed[2], label  # the pairs (t, t + a) with |t| = d
     # a row inside another generator may stay in one and be dropped in the other: compare complexes
     assert maximal_faces(set(map(frozenset, supports(K)))) == maximal_faces(gens), label
 
 
 class TestCollapseCounts:
-    """The pair counts, counted from C's maximal faces, against C listed face by face."""
+    """The pair count, counted from C's maximal faces, against C listed face by face."""
 
     def test_random_set_systems(self):
         rng = random.Random(17)
@@ -383,27 +427,41 @@ class TestCollapseCounts:
                 rows.append(sum(1 << v for v in rng.sample(range(n), size)))
             assert_counts_by_listing(d, IncidenceMinor(d, n, tuple(rows)), rows)
 
-    @pytest.mark.parametrize(
-        "name, J",
-        [
-            ("prism-cyclic-3-14", prism(cyclic_incidence(3, 14))),
-            ("prism-cyclic-3-14-r26", delete_minor(prism(cyclic_incidence(3, 14)), rows=[26])),
-            ("prism-cyclic-3-18", prism(cyclic_incidence(3, 18))),
-            ("prism-cyclic-3-18-r19", delete_minor(prism(cyclic_incidence(3, 18)), rows=[19])),
-            ("prism-cyclic-4-16", prism(cyclic_incidence(4, 16))),
-            ("prism-cyclic-4-16-r88", delete_minor(prism(cyclic_incidence(4, 16)), rows=[88])),
-            ("prism-cyclic-3-18-polar", transpose(prism(cyclic_incidence(3, 18)))),
-        ],
-    )
+    @pytest.mark.parametrize("name, J", LADDER_PRISM_RUNGS)
     def test_ladder_prism_rungs(self, name, J):
         """The benchmark's prism rungs and their seed-1 minors, on the side the decision picks."""
         M = J if analyze(J.d, J).side == SIDE_PRIMAL else transpose(J)
         assert_counts_by_listing(J.d, M, name)
 
     def test_forced_dual_cyclic_4_40(self):
-        """40 rows of 74 vertices, where listing the faces of C takes tens of seconds."""
-        q = collapse(4, transpose(cyclic_incidence(4, 40)))[1]
-        assert q == [48_863, 1_867_185, 38_228_962, 565_241_523]
+        """40 rows of 74 vertices, where listing the faces of C takes tens of seconds.
+
+        The faces of K with 3, 4 and 5 vertices are those of K' plus the
+        pairs with |t| = 2..5 that took them (48,863, 1,867,185, q and
+        565,241,523), each pair one face from each of two adjacent sizes.
+        """
+        M = transpose(cyclic_incidence(4, 40))
+        K, q = collapse(4, M)
+        assert q == 38_228_962
+        faces = crosscut._count_subsets(M.row_masks, range(3, 6))
+        assert faces == [2_252_680, 43_071_740, 624_272_880]
+        pairs = [48_863, 1_867_185, q, 565_241_523]
+        collapsed = crosscut._count_subsets(K.row_masks, range(3, 6))
+        assert [n + pairs[i] + pairs[i + 1] for i, n in enumerate(collapsed)] == faces
+
+
+class TestCollapseReturnsM:
+    """Nothing to replace, nothing to count: collapse hands back the matrix itself."""
+
+    @pytest.mark.parametrize("d, M", [(4, cyclic_incidence(4, 40)), (9, crosspolytope_incidence(9))])
+    def test_simplicial_primal(self, d, M):
+        K, q = collapse(d, M)
+        assert K is M and q == 0
+
+    @pytest.mark.parametrize("name, J", LADDER_PRISM_RUNGS)
+    def test_prism_rungs_collapse(self, name, J):
+        M = J if analyze(J.d, J).side == SIDE_PRIMAL else transpose(J)
+        assert collapse(J.d, M)[0] is not M, name
 
 
 SPHERES = (

@@ -18,6 +18,7 @@ combinatorially, have such facets by construction.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -47,6 +48,12 @@ def random_hull(rng, d):
         points = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 5))]
         if rank_over_q([(1, *p) for p in points]) == d + 1:
             return exact_hull(points)
+
+
+@lru_cache(maxsize=None)
+def random_polytope(d, i):
+    """The incidence matrix of case (d, i), drawn once: the oracle's hull is the slow part."""
+    return random_hull(random.Random(1000 * d + i), d).incidence()
 
 
 def assert_agree(d, J):
@@ -94,7 +101,7 @@ def test_random_polytope(d, i):
 @pytest.mark.parametrize("d, i", CASES, ids=[f"d{d}-{i}" for d, i in CASES])
 def test_collapse_exact_on_random_polytope(d, i):
     """The collapsed decision's numbers equal the direct reduction's, at d-1, d and d+1."""
-    J = random_hull(random.Random(1000 * d + i), d).incidence()
+    J = random_polytope(d, i)
     minors = [J]
     minors += [delete_minor(J, rows=[r]) for r in range(1, J.m + 1)]
     minors += [delete_minor(J, cols=[c]) for c in range(1, J.n + 1)]
@@ -111,7 +118,7 @@ def test_pyramid_and_prism(d, i):
     a pyramid is a dual row of up to 20 vertices, seconds of reference work
     for each minor.
     """
-    J = random_hull(random.Random(1000 * d + i), d).incidence()
+    J = random_polytope(d, i)
     for P in (pyramid(J), prism(J)):
         assert decide(P.d, P) is True
         minors = [delete_minor(P, rows=[r]) for r in range(1, P.m + 1)]
