@@ -30,7 +30,7 @@ KM_FACETS = (
 
 def cube_km() -> IncidenceMinor:
     """The 6x8 incidence matrix of the 3-cube in Klee-Minty numbering."""
-    return IncidenceMinor.from_rows(3, 8, KM_FACETS)
+    return IncidenceMinor(3, 8, tuple(sum(1 << v - 1 for v in facet) for facet in KM_FACETS))
 
 
 def cyclic_incidence(d: int, n: int) -> IncidenceMinor:
@@ -63,9 +63,8 @@ def simplex_incidence(d: int) -> IncidenceMinor:
     """The d-simplex on d+1 vertices: row i omits exactly vertex i."""
     if d < 1:
         raise ValueError("simplex dimension must be at least 1")
-    n = d + 1
-    rows = [[v for v in range(1, n + 1) if v != i] for i in range(1, n + 1)]
-    return IncidenceMinor.from_rows(d, n, rows)
+    full = (1 << d + 1) - 1
+    return IncidenceMinor(d, d + 1, tuple(full ^ 1 << i for i in range(d + 1)))
 
 
 def crosspolytope_incidence(d: int) -> IncidenceMinor:
@@ -73,10 +72,8 @@ def crosspolytope_incidence(d: int) -> IncidenceMinor:
     one facet per sign vector."""
     if d < 1:
         raise ValueError("cross-polytope dimension must be at least 1")
-    rows = []
-    for signs in product((0, 1), repeat=d):
-        rows.append([i + 1 if s == 0 else d + i + 1 for i, s in enumerate(signs)])
-    return IncidenceMinor.from_rows(d, 2 * d, rows)
+    rows = (sum(1 << i + d * s for i, s in enumerate(signs)) for signs in product((0, 1), repeat=d))
+    return IncidenceMinor(d, 2 * d, tuple(rows))
 
 
 def prism(J: IncidenceMinor) -> IncidenceMinor:

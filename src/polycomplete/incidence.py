@@ -15,7 +15,7 @@ module provides the checkable entry path from coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 Face = int  # vertex bitmask: bit v-1 stands for vertex v
 
@@ -134,19 +134,6 @@ class IncidenceMinor:
     @property
     def m(self) -> int:
         return len(self.row_masks)
-
-    @classmethod
-    def from_rows(cls, d: int, n: int, rows: Iterable[Iterable[int]]) -> "IncidenceMinor":
-        """Build from an iterable of vertex-label subsets of {1..n}."""
-        masks = []
-        for row in rows:
-            mask = 0
-            for v in row:
-                if not 1 <= v <= n:
-                    raise ValueError(f"vertex label {v} outside 1..{n}")
-                mask |= 1 << (v - 1)
-            masks.append(mask)
-        return cls(d, n, tuple(masks))
 
 
 def transpose(J: IncidenceMinor) -> IncidenceMinor:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .incidence import Face, FormatError, IncidenceMinor, bits, decimal_int, text_lines, vertices
@@ -28,31 +27,21 @@ class CertificateFormatError(FormatError):
     """Malformed certificate text or a ridge of the wrong size."""
 
 
-class CertificateKind(Enum):
-    EMPTY_PULLING_COMPLEX = "EMPTY"
-    BOUNDARY_RIDGE = "RIDGE"
-
-
 @dataclass(frozen=True)
 class PullingCertificate:
-    """Witness of incompleteness.
+    """Witness of incompleteness: a boundary ridge, or none for an empty
+    pulling complex.
 
-    EMPTY_PULLING_COMPLEX carries no data; verification reruns the facet
-    search.  BOUNDARY_RIDGE carries a strictly increasing (d-1)-subset of
-    the vertex set; verification recounts its cofacets.
+    The ridge is a strictly increasing (d-1)-subset of the vertex set
+    claimed to lie in exactly one pulling facet; verification recounts its
+    cofacets.  Without one, verification reruns the facet search.
     """
 
-    kind: CertificateKind
     ridge: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.kind is CertificateKind.BOUNDARY_RIDGE:
-            if self.ridge is None:
-                raise ValueError("boundary-ridge certificate needs a ridge")
-            if any(a >= b for a, b in zip(self.ridge, self.ridge[1:])):
-                raise ValueError(f"vertices {self.ridge} are not strictly increasing")
-        elif self.ridge is not None:
-            raise ValueError("empty-complex certificate carries no ridge")
+        if self.ridge is not None and any(a >= b for a, b in zip(self.ridge, self.ridge[1:])):
+            raise ValueError(f"vertices {self.ridge} are not strictly increasing")
 
 
 def _check_face(size: int, J: IncidenceMinor, face: Face, what: str) -> None:
@@ -157,16 +146,16 @@ def find_certificate(d: int, J: IncidenceMinor) -> Optional[PullingCertificate]:
     """Search for an incompleteness certificate; None is consistent with
     completeness.
 
-    If no pulling facet avoiding vertex 1 exists, that is already the
-    EMPTY_PULLING_COMPLEX certificate.  Otherwise walk the facets through
+    If no pulling facet avoiding vertex 1 exists, that is already a
+    certificate, one without a ridge.  Otherwise walk the facets through
     shared ridges, exploring lexicographically smallest facets first; the
-    first ridge found with exactly one cofacet is the BOUNDARY_RIDGE
-    certificate.  None means no ridge the walk reached has exactly one
+    first ridge found with exactly one cofacet is the certificate's
+    ridge.  None means no ridge the walk reached has exactly one
     cofacet; a ridge with three or more is walked through, not reported.
     """
     start = find_pulling_facet(d, J)
     if start is None:
-        return PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
+        return PullingCertificate()
     memo: dict[Face, bool] = {}
     seen = {start}
     done: set[Face] = set()  # ridges already walked from their other facet
@@ -180,7 +169,7 @@ def find_certificate(d: int, J: IncidenceMinor) -> Optional[PullingCertificate]:
             done.add(ridge)
             cofacets = _cofacets(d, J, ridge, memo)
             if len(cofacets) == 1:
-                return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, vertices(ridge))
+                return PullingCertificate(vertices(ridge))
             for nb in cofacets:
                 if nb not in seen:
                     seen.add(nb)
@@ -191,16 +180,16 @@ def find_certificate(d: int, J: IncidenceMinor) -> Optional[PullingCertificate]:
 def verify_certificate(d: int, J: IncidenceMinor, cert: PullingCertificate) -> bool:
     """Accept or reject a certificate of incompleteness.
 
-    EMPTY_PULLING_COMPLEX is accepted iff the facet search comes up
-    empty; BOUNDARY_RIDGE iff the ridge has exactly one cofacet.  A ridge
-    of the wrong size or with out-of-range vertices is malformed and
+    A certificate without a ridge is accepted iff the facet search comes
+    up empty; one with a ridge iff the ridge has exactly one cofacet.  A
+    ridge of the wrong size or with out-of-range vertices is malformed and
     raises CertificateFormatError.
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
-    if cert.kind is CertificateKind.EMPTY_PULLING_COMPLEX:
-        return find_pulling_facet(d, J) is None
     ridge = cert.ridge
+    if ridge is None:
+        return find_pulling_facet(d, J) is None
     if len(ridge) != d - 1:
         raise CertificateFormatError(f"ridge has {len(ridge)} vertices, expected {d - 1}")
     if ridge and not (1 <= ridge[0] and ridge[-1] <= J.n):
@@ -212,7 +201,7 @@ def verify_certificate(d: int, J: IncidenceMinor, cert: PullingCertificate) -> b
 
 def serialize_certificate(cert: PullingCertificate) -> str:
     """One line: "EMPTY", or "RIDGE v1 v2 ... v(d-1)"."""
-    if cert.kind is CertificateKind.EMPTY_PULLING_COMPLEX:
+    if cert.ridge is None:
         return "EMPTY\n"
     return " ".join(["RIDGE", *map(str, cert.ridge)]) + "\n"
 
@@ -224,14 +213,14 @@ def parse_certificate(text: str) -> PullingCertificate:
     [(lineno, line)] = lines
     tokens = line.split()
     if tokens[0] == "EMPTY" and len(tokens) == 1:
-        return PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
+        return PullingCertificate()
     if tokens[0] == "RIDGE":
         try:
             ridge = tuple(map(decimal_int, tokens[1:]))
         except ValueError:
             raise CertificateFormatError("ridge vertices must be integers", lineno) from None
         try:
-            return PullingCertificate(CertificateKind.BOUNDARY_RIDGE, ridge)
+            return PullingCertificate(ridge)
         except ValueError as exc:
             raise CertificateFormatError(str(exc), lineno) from None
     raise CertificateFormatError(f"unknown certificate {line!r}", lineno)

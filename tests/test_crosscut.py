@@ -25,7 +25,7 @@ from polycomplete.fixtures import (
 )
 from polycomplete.incidence import IncidenceMinor, transpose
 
-from oracle import boundary_columns, collapse_by_listing, gf2_rank, homology_all_ranks, supports
+from oracle import boundary_columns, collapse_by_listing, gf2_rank, homology_all_ranks, supports, vertex_mask
 
 
 class TestEnumerateFaces:
@@ -35,16 +35,16 @@ class TestEnumerateFaces:
         assert layer.faces == tuple(sorted(km.row_masks))
 
     def test_single_row_pairs(self):
-        J = IncidenceMinor.from_rows(2, 3, [(1, 2, 3)])
+        J = IncidenceMinor(2, 3, tuple(map(vertex_mask, [(1, 2, 3)])))
         assert enumerate_faces(J, 1).faces == (0b011, 0b101, 0b110)
 
     def test_union_deduplicates(self):
-        J = IncidenceMinor.from_rows(2, 4, [(1, 2, 3), (2, 3, 4)])
+        J = IncidenceMinor(2, 4, tuple(map(vertex_mask, [(1, 2, 3), (2, 3, 4)])))
         # {1,2} {1,3} {2,3} {2,4} {3,4}, ascending as masks
         assert enumerate_faces(J, 1).faces == (0b0011, 0b0101, 0b0110, 0b1010, 0b1100)
 
     def test_empty_face_layer(self):
-        J = IncidenceMinor.from_rows(2, 3, [(1, 2)])
+        J = IncidenceMinor(2, 3, tuple(map(vertex_mask, [(1, 2)])))
         assert enumerate_faces(J, -1).faces == (0,)
         void = IncidenceMinor(0, 0, ())
         assert enumerate_faces(void, -1).faces == ()
@@ -52,7 +52,7 @@ class TestEnumerateFaces:
         assert enumerate_faces(no_rows, -1).faces == ()
 
     def test_beyond_top_dimension_is_empty(self):
-        J = IncidenceMinor.from_rows(2, 3, [(1, 2)])
+        J = IncidenceMinor(2, 3, tuple(map(vertex_mask, [(1, 2)])))
         assert enumerate_faces(J, 5).faces == ()
         with pytest.raises(ValueError):
             enumerate_faces(J, -2)
@@ -65,7 +65,7 @@ class TestEnumerateFaces:
 
 class TestBoundaryMatrix:
     def test_triangle_boundary_column(self):
-        J = IncidenceMinor.from_rows(2, 3, [(1, 2, 3)])
+        J = IncidenceMinor(2, 3, tuple(map(vertex_mask, [(1, 2, 3)])))
         bd, lower = boundary_matrix(enumerate_faces(J, 2), J)
         assert (bd.nrows, bd.ncols) == (3, 1)
         assert bd.cols == [0b111]
@@ -87,7 +87,7 @@ class TestBoundaryMatrix:
         assert set(lower.faces) == set(enumerate_faces(km, 2).faces)
 
     def test_augmentation_row(self):
-        J = IncidenceMinor.from_rows(1, 3, [(1,), (3,)])
+        J = IncidenceMinor(1, 3, tuple(map(vertex_mask, [(1,), (3,)])))
         bd, lower = boundary_matrix(enumerate_faces(J, 0), J)
         assert (bd.nrows, bd.ncols) == (1, 2)
         assert bd.cols == [1, 1]
@@ -175,7 +175,7 @@ class TestCompleteness:
         assert analyze(4, km, side=SIDE_PRIMAL).complete is False
 
     def test_punctured_triangle(self):
-        J = IncidenceMinor.from_rows(2, 3, [(1, 2), (2, 3)])
+        J = IncidenceMinor(2, 3, tuple(map(vertex_mask, [(1, 2), (2, 3)])))
         assert analyze(2, J, side=SIDE_PRIMAL).complete is False
 
     def test_negative_dimension_rejected(self, km):

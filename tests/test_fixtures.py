@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -18,7 +18,7 @@ from polycomplete.fixtures import (
 from polycomplete.geometry import extract_incidence, serialize_geometry, validate_instance
 from polycomplete.incidence import IncidenceMinor
 
-from oracle import gale_even, hull_facets, supports
+from oracle import gale_even, hull_facets, supports, vertex_mask
 
 
 def cyclic_facet_count(d, n):
@@ -87,7 +87,7 @@ class TestCyclic:
     )
     def test_equals_gale_even_filter(self, d, n):
         rows = [S for S in combinations(range(1, n + 1), d) if gale_even(S, n)]
-        assert cyclic_incidence(d, n) == IncidenceMinor.from_rows(d, n, rows)
+        assert cyclic_incidence(d, n) == IncidenceMinor(d, n, tuple(map(vertex_mask, rows)))
 
     def test_gale_even_examples(self):
         assert gale_even((1, 2, 3, 4), 8)
@@ -157,16 +157,20 @@ class TestDeleteMinor:
 
 class TestFixtureGrid:
     def test_simplexes(self):
-        for d in range(1, 6):
+        for d in range(1, 7):
             J = simplex_incidence(d)
-            assert (J.m, J.n) == (d + 1, d + 1)
-            assert all(len(sup) == d for sup in supports(J))
+            assert (J.d, J.m, J.n) == (d, d + 1, d + 1)
+            # row i omits vertex i
+            vertices = range(1, d + 2)
+            assert supports(J) == tuple(tuple(v for v in vertices if v != i) for i in vertices)
 
     def test_crosspolytopes(self):
-        for d in (1, 2, 3, 4):
+        for d in range(1, 7):
             J = crosspolytope_incidence(d)
-            assert (J.m, J.n) == (2**d, 2 * d)
-            assert all(len(sup) == d for sup in supports(J))
+            assert (J.d, J.m, J.n) == (d, 2**d, 2 * d)
+            # one row per sign vector, in product order: sign s of axis i picks vertex i+1 or d+i+1
+            rows = [[i + 1 if s == 0 else d + i + 1 for i, s in enumerate(signs)] for signs in product((0, 1), repeat=d)]
+            assert supports(J) == tuple(tuple(sorted(row)) for row in rows)
 
     def test_moment_curve_cyclic_consistent(self):
         inst = geometric_cyclic(3, 7)

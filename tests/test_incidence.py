@@ -202,10 +202,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="column count"):
             IncidenceMinor(2, -1, ())
 
-    def test_from_rows_rejects_bad_label(self):
-        with pytest.raises(ValueError):
-            IncidenceMinor.from_rows(2, 3, [(1, 4)])
-
 
 class TestPermutationEquivalence:
     def test_permuted_km(self, km):

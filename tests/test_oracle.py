@@ -12,18 +12,19 @@ from oracle import (
     pulling_triangulation_by_flags,
     pyramid,
     supports,
+    vertex_mask,
 )
 
 
 class TestHomologyOracle:
     def test_boundary_of_3_simplex_is_a_2_sphere(self):
-        J = IncidenceMinor.from_rows(3, 4, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+        J = IncidenceMinor(3, 4, tuple(map(vertex_mask, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])))
         profile = homology_all_ranks(J)
         assert profile.betti(2) == 1
         assert all(profile.betti(k) == 0 for k in range(-1, 3) if k != 2)
 
     def test_single_facet_contractible(self):
-        J = IncidenceMinor.from_rows(2, 3, [(1, 2, 3)])
+        J = IncidenceMinor(2, 3, tuple(map(vertex_mask, [(1, 2, 3)])))
         profile = homology_all_ranks(J)
         assert all(profile.betti(k) == 0 for k in range(-1, profile.max_dim + 1))
 
@@ -37,7 +38,7 @@ class TestHomologyOracle:
         assert profile.betti(0) == 0
 
     def test_disconnected_pair(self):
-        J = IncidenceMinor.from_rows(1, 2, [(1,), (2,)])
+        J = IncidenceMinor(1, 2, tuple(map(vertex_mask, [(1,), (2,)])))
         profile = homology_all_ranks(J)
         assert profile.betti(0) == 1
 

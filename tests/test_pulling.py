@@ -19,7 +19,6 @@ from polycomplete import pulling
 from polycomplete.incidence import IncidenceMinor, bits
 from polycomplete.pulling import (
     CertificateFormatError,
-    CertificateKind,
     PullingCertificate,
     find_certificate,
     find_pulling_facet,
@@ -178,7 +177,7 @@ class TestFindCertificate:
 
     def test_km_d4_empty_complex(self, km):
         cert = find_certificate(4, km)
-        assert cert.kind is CertificateKind.EMPTY_PULLING_COMPLEX
+        assert cert.ridge is None
         assert verify_certificate(4, km, cert) is True
 
     def test_km_minus_last_row(self, km):
@@ -187,14 +186,13 @@ class TestFindCertificate:
         J = delete_minor(km, rows=[6])
         assert exhaustive_pulling(3, J) == {(1, 2, 3), (1, 3, 4)}
         cert = find_certificate(3, J)
-        assert cert.kind is CertificateKind.EMPTY_PULLING_COMPLEX
+        assert cert.ridge is None
         assert verify_certificate(3, J, cert) is True
         assert decide(3, J) is False
 
     def test_km_minus_first_row_boundary_ridge(self, km):
         J = delete_minor(km, rows=[1])
         cert = find_certificate(3, J)
-        assert cert.kind is CertificateKind.BOUNDARY_RIDGE
         assert cert.ridge == (2, 3)
         assert verify_certificate(3, J, cert) is True
         assert decide(3, J) is False
@@ -202,7 +200,7 @@ class TestFindCertificate:
     def test_km_minus_column_boundary_ridge(self, km):
         J = delete_minor(km, cols=[8])
         cert = find_certificate(3, J)
-        assert cert.kind is CertificateKind.BOUNDARY_RIDGE
+        assert cert.ridge is not None
         assert verify_certificate(3, J, cert) is True
 
     def test_deterministic(self, km):
@@ -238,25 +236,25 @@ class TestFindCertificate:
 
 class TestVerifyCertificate:
     def test_rejects_interior_ridge(self, km):
-        cert = PullingCertificate(CertificateKind.BOUNDARY_RIDGE, (7, 8))
+        cert = PullingCertificate((7, 8))
         assert verify_certificate(3, km, cert) is False
 
     def test_rejects_empty_claim_on_complete(self, km):
-        cert = PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
+        cert = PullingCertificate()
         assert verify_certificate(3, km, cert) is False
 
     def test_malformed_ridge_size(self, km):
-        cert = PullingCertificate(CertificateKind.BOUNDARY_RIDGE, (7,))
+        cert = PullingCertificate((7,))
         with pytest.raises(CertificateFormatError):
             verify_certificate(3, km, cert)
 
     def test_malformed_out_of_range(self, km):
-        cert = PullingCertificate(CertificateKind.BOUNDARY_RIDGE, (7, 9))
+        cert = PullingCertificate((7, 9))
         with pytest.raises(CertificateFormatError):
             verify_certificate(3, km, cert)
 
     def test_d_below_one_rejected(self, km):
-        cert = PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)
+        cert = PullingCertificate()
         with pytest.raises(ValueError, match="at least 1"):
             verify_certificate(0, km, cert)
 
@@ -264,26 +262,15 @@ class TestVerifyCertificate:
 class TestCertificateText:
     def test_round_trip(self):
         for cert in (
-            PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX),
-            PullingCertificate(CertificateKind.BOUNDARY_RIDGE, (2, 3)),
-            PullingCertificate(CertificateKind.BOUNDARY_RIDGE, ()),
+            PullingCertificate(),
+            PullingCertificate((2, 3)),
+            PullingCertificate(()),
         ):
             assert parse_certificate(serialize_certificate(cert)) == cert
 
     def test_format(self):
-        assert serialize_certificate(PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX)) == "EMPTY\n"
-        assert (
-            serialize_certificate(PullingCertificate(CertificateKind.BOUNDARY_RIDGE, (2, 3)))
-            == "RIDGE 2 3\n"
-        )
-
-    def test_ridge_kind_needs_a_ridge(self):
-        with pytest.raises(ValueError, match="needs a ridge"):
-            PullingCertificate(CertificateKind.BOUNDARY_RIDGE)
-
-    def test_empty_kind_carries_no_ridge(self):
-        with pytest.raises(ValueError, match="carries no ridge"):
-            PullingCertificate(CertificateKind.EMPTY_PULLING_COMPLEX, (2, 3))
+        assert serialize_certificate(PullingCertificate()) == "EMPTY\n"
+        assert serialize_certificate(PullingCertificate((2, 3))) == "RIDGE 2 3\n"
 
     @pytest.mark.parametrize("text", ["", "BOGUS 1 2\n", "RIDGE x\n", "RIDGE 3 2\n", "EMPTY 1\n", "EMPTY\nRIDGE 1\n"])
     def test_parse_rejects(self, text):

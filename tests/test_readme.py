@@ -1,9 +1,15 @@
-"""README's Library example runs and its comments state true values."""
+"""README's Library example runs and its comments state true values, and
+its console session prints what README shows."""
 
+import io
 import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from polycomplete.fixtures import cyclic_incidence
+from polycomplete import cli
+from polycomplete.fixtures import cube_km, cyclic_incidence, delete_minor
+from polycomplete.incidence import IncidenceMinor, serialize_incidence
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,6 +48,60 @@ def test_library_block():
         0,
         1,
     )
+
+
+def console_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line") :]
+    return re.search(r"```console\n(.*?)```", section, re.S).group(1)
+
+
+def run_console(command: str, monkeypatch) -> tuple[list[int], str]:
+    """Exit codes and stdout of a '$' line: polycomplete stages joined by
+    '|', the last one optionally redirected with '>'."""
+    command, _, target = command.partition(" > ")
+    codes, text = [], ""
+    for stage in command.split(" | "):
+        program, *argv = stage.split()
+        assert program == "polycomplete"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            codes.append(cli.main(argv))
+        assert err.getvalue() == ""
+        text = out.getvalue()
+    if target:
+        Path(target).write_text(text, encoding="utf-8")
+        text = ""
+    return codes, text
+
+
+def test_console_block(tmp_path, monkeypatch):
+    block = console_block()
+    # the two input files, as the block's comments describe them
+    assert "declared as d=4" in block and "cube-km without row 1" in block
+    km = cube_km()
+    (tmp_path / "km4.inc").write_text(serialize_incidence(IncidenceMinor(4, km.n, km.row_masks)))
+    (tmp_path / "minor.inc").write_text(serialize_incidence(delete_minor(km, rows=[1])))
+    monkeypatch.chdir(tmp_path)
+    sessions = []  # [command, what README shows it print]
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            sessions.append([line[2:].split("#")[0].strip(), ""])
+        elif line:
+            sessions[-1][1] += line + "\n"
+    codes = {}
+    for command, shown in sessions:
+        codes[command], printed = run_console(command, monkeypatch)
+        assert printed == shown, command
+    assert codes == {
+        "polycomplete gen cube-km | polycomplete check -": [0, 0],
+        "polycomplete check --machine km4.inc": [1],
+        "polycomplete certify km4.inc": [1],
+        "polycomplete certify minor.inc > cert.txt": [1],
+        "polycomplete verify minor.inc cert.txt": [0],
+    }
+    assert Path("cert.txt").read_text(encoding="utf-8") == "RIDGE 2 3\n"
 
 
 def test_package_exports_the_documented_api():
