@@ -5,7 +5,8 @@ incompleteness certificate), verify (check a certificate), extract
 (incidence matrix from exact-rational geometry), gen (fixture files).
 
 Exit codes are a contract for shell pipelines: 0 = yes/accept/success,
-1 = no/reject, 2 = invalid input.  All output is deterministic.
+1 = no/reject, 2 = invalid input: every failure leaves through ``main``
+as one ``error:`` line on stderr.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -44,13 +45,8 @@ def _write_output(path: Optional[str], text: str) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        return _fail(f"cannot write {path}: {exc.strerror}")
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
     return EXIT_YES
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INVALID
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -68,7 +64,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     else:
         print(answer)
-        print(f"side: {report.side} (max row {report.stats.s}, max column {report.stats.s_col})")
+        s, s_col = report.stats
+        print(f"side: {report.side} (max row {s}, max column {s_col})")
         print(f"boundary matrix d: {dr}x{dc}, rank {report.boundary_d_rank}")
         print(f"boundary matrix d-1: {lr}x{lc}, kernel dimension {report.boundary_d1_kernel}")
     return EXIT_YES if report.complete else EXIT_NO
@@ -77,7 +74,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     J = parse_incidence(_read_input(args.file))
     if J.d < 1:
-        return _fail("certificates are defined for d >= 1 only")
+        raise ValueError("certificates are defined for d >= 1 only")
     cert = find_certificate(J.d, J)
     if cert is None:
         print("COMPLETE")
@@ -89,7 +86,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     J = parse_incidence(_read_input(args.file))
     if J.d < 1:
-        return _fail("certificates are defined for d >= 1 only")
+        raise ValueError("certificates are defined for d >= 1 only")
     cert = parse_certificate(_read_input(args.certificate))
     accepted = verify_certificate(J.d, J, cert)
     print("accept" if accepted else "reject")
@@ -104,8 +101,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         for issue in report.issues:
             print(f"validation: check={issue.check} {issue.subject}: {issue.detail}", file=sys.stderr)
         if not args.force:
-            print("error: validation failed (use --force to extract anyway)", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError("validation failed (use --force to extract anyway)")
     return _write_output(args.output, serialize_incidence(report.incidence))
 
 
@@ -208,9 +204,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        return _fail(str(exc))
+        message = str(exc)
     except MemoryError:
-        return _fail("out of memory")
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INVALID
 
 
 def run():  # console-script entry point

@@ -29,7 +29,7 @@ from math import comb
 from typing import Iterable
 
 from .gf2 import Gf2Matrix
-from .incidence import Face, IncidenceMinor, SizeStats, bits, size_stats, transpose
+from .incidence import Face, IncidenceMinor, bits, size_stats, transpose
 
 SIDE_AUTO = "auto"
 SIDE_PRIMAL = "primal"
@@ -194,7 +194,7 @@ class CompletenessReport:
 
     d: int
     side: str
-    stats: SizeStats
+    stats: tuple[int, int]  # size_stats: (max row support, max column support)
     boundary_d_shape: tuple[int, int] = (0, 0)
     boundary_d_rank: int = 0
     boundary_d1_shape: tuple[int, int] = (0, 0)
@@ -241,7 +241,7 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     if J.m == 0 or J.n == 0:
         return CompletenessReport(d, SIDE_DUAL if side == SIDE_DUAL else SIDE_PRIMAL, stats)
     if side == SIDE_AUTO:
-        side = SIDE_PRIMAL if stats.s <= stats.s_col else SIDE_DUAL
+        side = SIDE_PRIMAL if stats[0] <= stats[1] else SIDE_DUAL
     M = J if side == SIDE_PRIMAL else transpose(J)
     K, q = collapse(d, M)
     upper = enumerate_faces(K, d)
@@ -270,11 +270,10 @@ def analyze(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> CompletenessRep
     )
 
 
-def decide(d: int, J: IncidenceMinor, side: str = SIDE_AUTO) -> bool:
+def decide(d: int, J: IncidenceMinor) -> bool:
     """Is J a complete incidence matrix minor of a d-polytope?
 
-    With side "auto" the homology runs on the primal matrix when its max
-    row support does not exceed its max column support, and on the
-    transpose otherwise; a minor is complete iff its transpose is.
+    The side is picked as by ``analyze`` with side "auto" (a minor is
+    complete iff its transpose is); a forced side goes through ``analyze``.
     """
-    return analyze(d, J, side=side).complete
+    return analyze(d, J).complete

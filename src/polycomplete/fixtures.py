@@ -110,21 +110,18 @@ def delete_minor(J: IncidenceMinor, rows: Iterable[int] = (), cols: Iterable[int
 
 # --- geometric instances -------------------------------------------------
 
-F0 = Fraction(0)
-F1 = Fraction(1)
 
-
-def _unit(d: int, i: int, value: Fraction = F1) -> tuple[Fraction, ...]:
-    return tuple(value if j == i else F0 for j in range(d))
+def _unit(d: int, i: int, value: int = 1) -> tuple[int, ...]:
+    return tuple(value if j == i else 0 for j in range(d))
 
 
 def geometric_simplex(d: int) -> GeometricInstance:
     """Origin plus the unit vectors; facets x_i >= 0 and sum x_i <= 1."""
     if d < 1:
         raise ValueError("simplex dimension must be at least 1")
-    points = [tuple([F0] * d)] + [_unit(d, i) for i in range(d)]
-    halfspaces = [Halfspace(_unit(d, i, Fraction(-1)), F0) for i in range(d)]
-    halfspaces.append(Halfspace(tuple([F1] * d), F1))
+    points = [(0,) * d] + [_unit(d, i) for i in range(d)]
+    halfspaces = [Halfspace(_unit(d, i, -1), 0) for i in range(d)]
+    halfspaces.append(Halfspace((1,) * d, 1))
     return GeometricInstance(d, tuple(points), tuple(halfspaces))
 
 
@@ -144,14 +141,14 @@ def geometric_cube_km() -> GeometricInstance:
         7: (1, 0, 1),
         8: (0, 0, 1),
     }
-    points = tuple(tuple(Fraction(c) for c in coords[v]) for v in range(1, 9))
+    points = tuple(coords[v] for v in range(1, 9))
     halfspaces = (
-        Halfspace((F0, F0, Fraction(-1)), F0),  # z >= 0 -> 1234
-        Halfspace((F0, Fraction(-1), F0), F0),  # y >= 0 -> 1278
-        Halfspace((Fraction(-1), F0, F0), F0),  # x >= 0 -> 1458
-        Halfspace((F1, F0, F0), F1),            # x <= 1 -> 2367
-        Halfspace((F0, F1, F0), F1),            # y <= 1 -> 3456
-        Halfspace((F0, F0, F1), F1),            # z <= 1 -> 5678
+        Halfspace((0, 0, -1), 0),  # z >= 0 -> 1234
+        Halfspace((0, -1, 0), 0),  # y >= 0 -> 1278
+        Halfspace((-1, 0, 0), 0),  # x >= 0 -> 1458
+        Halfspace((1, 0, 0), 1),   # x <= 1 -> 2367
+        Halfspace((0, 1, 0), 1),   # y <= 1 -> 3456
+        Halfspace((0, 0, 1), 1),   # z <= 1 -> 5678
     )
     return GeometricInstance(3, points, halfspaces)
 
@@ -160,11 +157,8 @@ def geometric_crosspolytope(d: int) -> GeometricInstance:
     """Vertices +/- e_i (labels i and d+i); facets sign . x <= 1."""
     if d < 1:
         raise ValueError("cross-polytope dimension must be at least 1")
-    points = [_unit(d, i) for i in range(d)] + [_unit(d, i, Fraction(-1)) for i in range(d)]
-    halfspaces = []
-    for signs in product((0, 1), repeat=d):
-        normal = tuple(F1 if s == 0 else Fraction(-1) for s in signs)
-        halfspaces.append(Halfspace(normal, F1))
+    points = [_unit(d, i) for i in range(d)] + [_unit(d, i, -1) for i in range(d)]
+    halfspaces = [Halfspace(tuple(1 - 2 * s for s in signs), 1) for signs in product((0, 1), repeat=d)]
     return GeometricInstance(d, tuple(points), tuple(halfspaces))
 
 
@@ -182,7 +176,7 @@ def geometric_cyclic(d: int, n: int) -> GeometricInstance:
     this equals what solving the d point equations for (a, b) by
     elimination gives under the same scaling and orientation.
     """
-    points = tuple(tuple(Fraction(t) ** (i + 1) for i in range(d)) for t in range(1, n + 1))
+    points = tuple(tuple(t ** (i + 1) for i in range(d)) for t in range(1, n + 1))
     halfspaces = []
     for mask in cyclic_incidence(d, n).row_masks:
         coeffs = [1]  # of prod (t - t_i), constant term first
@@ -192,7 +186,7 @@ def geometric_cyclic(d: int, n: int) -> GeometricInstance:
         normal = tuple(Fraction(c, offset) for c in coeffs[1:])
         outside = points[((mask + 1) & ~mask).bit_length() - 1]  # lowest vertex off the facet
         if sum(a * x for a, x in zip(normal, outside)) > 1:
-            halfspaces.append(Halfspace(tuple(-a for a in normal), -F1))
+            halfspaces.append(Halfspace(tuple(-a for a in normal), -1))
         else:
-            halfspaces.append(Halfspace(normal, F1))
+            halfspaces.append(Halfspace(normal, 1))
     return GeometricInstance(d, points, tuple(halfspaces))

@@ -102,14 +102,6 @@ def body_lines(lines: Iterator[tuple[int, str]], count: int, width_zero: bool) -
 
 
 @dataclass(frozen=True)
-class SizeStats:
-    """Maximal row support s and maximal column support s_col."""
-
-    s: int
-    s_col: int
-
-
-@dataclass(frozen=True)
 class IncidenceMinor:
     """An m x n 0/1 matrix with claimed dimension d.
 
@@ -145,8 +137,8 @@ def transpose(J: IncidenceMinor) -> IncidenceMinor:
     return IncidenceMinor(J.d, J.m, tuple(masks))
 
 
-def size_stats(J: IncidenceMinor) -> SizeStats:
-    """Max row support and max column support.
+def size_stats(J: IncidenceMinor) -> tuple[int, int]:
+    """(s, s_col): the max row support and the max column support.
 
     Column supports are counted bit-sliced: the rows are added into a
     vertical binary counter, plane b holding bit b of every column's count,
@@ -165,7 +157,7 @@ def size_stats(J: IncidenceMinor) -> SizeStats:
         if cols & planes[b]:
             cols &= planes[b]
             s_col |= 1 << b
-    return SizeStats(s=max(map(int.bit_count, J.row_masks), default=0), s_col=s_col)
+    return max(map(int.bit_count, J.row_masks), default=0), s_col
 
 
 def parse_incidence(text: str) -> IncidenceMinor:

@@ -216,14 +216,14 @@ class TestDecideSides:
         assert analyze(2, triangle).side == SIDE_PRIMAL
 
     def test_forced_sides_agree(self, km):
-        assert decide(3, km, side=SIDE_PRIMAL) is True
-        assert decide(3, km, side=SIDE_DUAL) is True
-        assert decide(4, km, side=SIDE_PRIMAL) is False
-        assert decide(4, km, side=SIDE_DUAL) is False
+        assert analyze(3, km, side=SIDE_PRIMAL).complete is True
+        assert analyze(3, km, side=SIDE_DUAL).complete is True
+        assert analyze(4, km, side=SIDE_PRIMAL).complete is False
+        assert analyze(4, km, side=SIDE_DUAL).complete is False
 
     def test_unknown_side_rejected(self, km):
         with pytest.raises(ValueError):
-            decide(3, km, side="sideways")
+            analyze(3, km, side="sideways")
 
 
 class TestOneBoundaryAtATime:
