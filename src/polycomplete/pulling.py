@@ -110,19 +110,27 @@ def _cofacets(d: int, J: IncidenceMinor, ridge: Face, memo: dict[Face, bool]) ->
     """The pulling facets containing the (d-1)-set ridge; memo caches membership.
 
     A candidate ridge + w passes the greedy's first step iff some row
-    contains it and starts at its lowest vertex.  So only those w are
-    tried: every vertex of a row that contains the ridge and starts where
-    the ridge does, and the lowest vertex of a row that contains the ridge
-    and starts below it.  Any other w fails ``is_pulling_facet`` at step 1.
+    contains it and starts at its lowest vertex; with u the ridge's lowest
+    vertex, that leaves every vertex of a row that holds the ridge and
+    starts at u (``above``) and the start of one that starts below u
+    (``below``).  A w above u must pass step 2 too, so lie in a row that
+    holds ridge - u and misses u (``off``): the step-1 row holds u, so a
+    step-2 row holding u would meet it with minimum u.  For d = 1 the
+    ridge is empty, every row holds it, and only ``below`` counts.
     """
     first = ridge & -ridge
-    star = 0
+    rest = ridge ^ first
+    above = below = off = 0
     for r in J.row_masks:
-        if r & ridge == ridge:
-            start = r & -r
-            star |= r if start == first else start
+        if r & rest == rest:
+            if r & first != first:
+                off |= r
+            elif r & -r == first:
+                above |= r
+            else:
+                below |= r & -r
     cofacets = []
-    for low in bits(star & ~ridge):
+    for low in bits((above & off | below) & ~ridge):
         cand = ridge | low
         if cand not in memo:
             memo[cand] = is_pulling_facet(d, J, cand)
@@ -135,7 +143,7 @@ def ridge_cofacet_count(d: int, J: IncidenceMinor, ridge: Face) -> int:
     """How many pulling facets contain the (d-1)-set given as a mask.
 
     Tries only the extensions by a vertex outside the ridge that can pass
-    the greedy's first step (see ``_cofacets``), so at most n-d+1; for
+    the greedy's first two steps (see ``_cofacets``), so at most n-d+1; for
     d = 1 the ridge is the empty set and this counts the singleton facets.
     """
     _check_face(d - 1, J, ridge, "ridge")

@@ -113,12 +113,7 @@ class TestRidgeCofacetCount:
         assert ridge_cofacet_count(1, delete_minor(segment, rows=[2]), 0) == 1
 
 
-def unfiltered_cofacets(d, J, ridge, memo):
-    """_cofacets without the step-1 filter: every vertex of a row holding the ridge is tried."""
-    star = 0
-    for r in J.row_masks:
-        if r & ridge == ridge:
-            star |= r
+def _tried(d, J, ridge, star, memo):
     cofacets = []
     for low in bits(star & ~ridge):
         cand = ridge | low
@@ -129,8 +124,75 @@ def unfiltered_cofacets(d, J, ridge, memo):
     return cofacets
 
 
+def unfiltered_cofacets(d, J, ridge, memo):
+    """_cofacets without a filter: every vertex of a row holding the ridge is tried."""
+    star = 0
+    for r in J.row_masks:
+        if r & ridge == ridge:
+            star |= r
+    return _tried(d, J, ridge, star, memo)
+
+
+def step_one_cofacets(d, J, ridge, memo):
+    """_cofacets with the step-1 filter alone: the vertices that can pass the greedy's first step are tried."""
+    first = ridge & -ridge
+    star = 0
+    for r in J.row_masks:
+        if r & ridge == ridge:
+            start = r & -r
+            star |= r if start == first else start
+    return _tried(d, J, ridge, star, memo)
+
+
+def walk_members(d, J, cofacets):
+    """find_certificate(d, J) with _cofacets replaced by the given rule.
+
+    Returns the certificate, every candidate the walk tested in order, and
+    the set of candidates that passed.
+    """
+    tested, hits = [], set()
+    member = pulling.is_pulling_facet
+
+    def counting(d, J, candidate):
+        tested.append(candidate)
+        if member(d, J, candidate):
+            hits.add(candidate)
+            return True
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulling, "is_pulling_facet", counting)
+        mp.setattr(pulling, "_cofacets", cofacets)
+        cert = find_certificate(d, J)
+    return cert, tested, hits
+
+
+def complete_walk_tests(d, J, *rules):
+    """How many membership tests the walk of complete (d, J) makes under each rule; none is made twice."""
+    counts = []
+    for rule in rules:
+        cert, tested, _ = walk_members(d, J, rule)
+        assert cert is None
+        assert len(tested) == len(set(tested))
+        counts.append(len(tested))
+    return counts
+
+
+def walked_ridges(d, J):
+    """The ridges the walk of (d, J) visits, in order."""
+    walked = []
+    cofacets = pulling._cofacets
+
+    def recording(d, J, ridge, memo):
+        walked.append(ridge)
+        return cofacets(d, J, ridge, memo)
+
+    walk_members(d, J, recording)
+    return walked
+
+
 class TestStepOneFilter:
-    """_cofacets tries only the vertices that can pass the greedy's first step, and finds the same facets."""
+    """_cofacets tries only the vertices that can pass the greedy's first two steps, and finds the same facets."""
 
     def test_random_matrices_every_ridge(self):
         rng = random.Random(22)
@@ -152,23 +214,64 @@ class TestStepOneFilter:
             ridge = sum(1 << v for v in ridge)
             assert pulling._cofacets(d, J, ridge, {}) == unfiltered_cofacets(d, J, ridge, {})
 
-    def test_membership_tests_in_the_walk(self, monkeypatch):
-        """The complete walk of prism(prism(cube-km)) makes 5,144 membership tests; unfiltered it made 6,884."""
+    def test_membership_tests_in_the_walk(self):
+        """The complete walk of prism(prism(cube-km)) makes 1,974 membership tests: 5,144 with the step-1 rule
+        alone, 6,884 unfiltered."""
         J = prism(prism(cube_km()))
-        member = pulling.is_pulling_facet
-        calls = []
+        counts = complete_walk_tests(5, J, pulling._cofacets, step_one_cofacets, unfiltered_cofacets)
+        assert counts == [1_974, 5_144, 6_884]
 
-        def counting(d, J, candidate):
-            calls.append(candidate)
-            return member(d, J, candidate)
+    @pytest.mark.parametrize(
+        "d, J, step_one, shipped",
+        [
+            (4, prism(cyclic_incidence(3, 14)), 559, 142),
+            (6, prism(prism(prism(cube_km()))), 96_228, 42_324),
+        ],
+        ids=["prism-cyclic-3-14", "prism-prism-prism-cube-km"],
+    )
+    def test_membership_tests_in_more_walks(self, d, J, step_one, shipped):
+        assert complete_walk_tests(d, J, pulling._cofacets, step_one_cofacets) == [shipped, step_one]
 
-        monkeypatch.setattr(pulling, "is_pulling_facet", counting)
-        assert find_certificate(5, J) is None
-        assert len(calls) == len(set(calls)) == 5_144
-        calls.clear()
-        monkeypatch.setattr(pulling, "_cofacets", unfiltered_cofacets)
-        assert find_certificate(5, J) is None
-        assert len(calls) == 6_884
+
+# simple polytopes, where the step-2 rule prunes
+PRUNED_BASES = {
+    "prism-prism-cube-km": (5, prism(prism(cube_km()))),
+    "prism-cyclic-3-10": (4, prism(cyclic_incidence(3, 10))),
+    "prism-cross-4": (5, prism(crosspolytope_incidence(4))),
+}
+
+
+class TestStepTwoFilter:
+    """Where the step-2 rule prunes, _cofacets still finds exactly the unfiltered cofacets."""
+
+    @pytest.mark.parametrize(
+        "d, J",
+        [
+            *PRUNED_BASES.values(),
+            *((d, delete_minor(J, rows=[(J.m + 1) // 2])) for d, J in PRUNED_BASES.values()),
+            (5, delete_minor(prism(prism(cube_km())), cols=[16])),
+        ],
+        ids=[*PRUNED_BASES, *(f"{name}-middle-row" for name in PRUNED_BASES), "prism-prism-cube-km-middle-column"],
+    )
+    def test_walked_ridges(self, d, J):
+        walked = walked_ridges(d, J)
+        assert walked
+        for ridge in walked:
+            assert pulling._cofacets(d, J, ridge, {}) == unfiltered_cofacets(d, J, ridge, {})
+
+    @pytest.mark.parametrize("d, J", PRUNED_BASES.values(), ids=list(PRUNED_BASES))
+    def test_prunes_step_one_candidates(self, d, J):
+        _, shipped, _ = walk_members(d, J, pulling._cofacets)
+        _, step_one, _ = walk_members(d, J, step_one_cofacets)
+        assert set(shipped) < set(step_one)
+
+    @pytest.mark.parametrize("name, facets", [("prism-prism-cube-km", 240), ("prism-cyclic-3-10", 62)])
+    def test_complete_walk_hits_match_flag_oracle(self, name, facets):
+        d, J = PRUNED_BASES[name]
+        cert, _, hits = walk_members(d, J, pulling._cofacets)
+        assert cert is None
+        assert hits == {vertex_mask(f) for f in pulling_triangulation_by_flags(J)}
+        assert len(hits) == facets
 
 
 class TestFindCertificate:
