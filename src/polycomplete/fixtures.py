@@ -7,6 +7,11 @@ The vertex numbering of the 3-cube is pinned to the Klee-Minty labeling
 (facet supports 1234, 1278, 1458, 2367, 3456, 5678) so that the cube,
 its pulling triangulation, and the cyclic-polytope reinterpretation of
 the same matrix can serve as golden tests.
+
+The geometric cube, cross-polytope and cyclic polytope read their facet
+rows from the generators above, so each polytope is written once.  The
+geometric simplex keeps its own order (x_i >= 0, then sum x_i <= 1, not
+simplex_incidence's rows), which `gen simplex D --geometry` pins.
 """
 
 from __future__ import annotations
@@ -126,39 +131,22 @@ def geometric_simplex(d: int) -> GeometricInstance:
 
 
 def geometric_cube_km() -> GeometricInstance:
-    """The 0/1-cube with vertices in Klee-Minty label order.
-
-    Facet rows come out in exactly the order of the combinatorial
-    cube_km(), so extraction reproduces that matrix verbatim.
+    """The 0/1-cube read from KM_FACETS, whose rows are z, y, x = 0, then
+    x, y, z = 1: vertex v has coordinate 1 on the axis of each of the last
+    three rows that hold it, so extraction reproduces cube_km() verbatim.
     """
-    coords = {
-        1: (0, 0, 0),
-        2: (1, 0, 0),
-        3: (1, 1, 0),
-        4: (0, 1, 0),
-        5: (0, 1, 1),
-        6: (1, 1, 1),
-        7: (1, 0, 1),
-        8: (0, 0, 1),
-    }
-    points = tuple(coords[v] for v in range(1, 9))
-    halfspaces = (
-        Halfspace((0, 0, -1), 0),  # z >= 0 -> 1234
-        Halfspace((0, -1, 0), 0),  # y >= 0 -> 1278
-        Halfspace((-1, 0, 0), 0),  # x >= 0 -> 1458
-        Halfspace((1, 0, 0), 1),   # x <= 1 -> 2367
-        Halfspace((0, 1, 0), 1),   # y <= 1 -> 3456
-        Halfspace((0, 0, 1), 1),   # z <= 1 -> 5678
-    )
-    return GeometricInstance(3, points, halfspaces)
+    points = tuple(tuple(int(v in facet) for facet in KM_FACETS[3:]) for v in range(1, 9))
+    halfspaces = [Halfspace(_unit(3, i, -1), 0) for i in (2, 1, 0)]  # z, y, x >= 0
+    halfspaces += [Halfspace(_unit(3, i), 1) for i in range(3)]  # x, y, z <= 1
+    return GeometricInstance(3, points, tuple(halfspaces))
 
 
 def geometric_crosspolytope(d: int) -> GeometricInstance:
-    """Vertices +/- e_i (labels i and d+i); facets sign . x <= 1."""
-    if d < 1:
-        raise ValueError("cross-polytope dimension must be at least 1")
+    """Vertices +/- e_i (labels i and d+i); one facet sign . x <= 1 per row
+    of crosspolytope_incidence(d), sign_i = +1 where the row holds vertex i."""
+    rows = crosspolytope_incidence(d).row_masks
     points = [_unit(d, i) for i in range(d)] + [_unit(d, i, -1) for i in range(d)]
-    halfspaces = [Halfspace(tuple(1 - 2 * s for s in signs), 1) for signs in product((0, 1), repeat=d)]
+    halfspaces = (Halfspace(tuple(1 if r >> i & 1 else -1 for i in range(d)), 1) for r in rows)
     return GeometricInstance(d, tuple(points), tuple(halfspaces))
 
 

@@ -82,9 +82,6 @@ class Halfspace:
         """Whether a point in homogeneous form (D, D*x) lies on the hyperplane."""
         return sum(map(mul, self.integer_form, point)) == 0
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((a * x for a, x in zip(self.normal, point)), Fraction(0))
-
 
 @dataclass(frozen=True)
 class GeometricInstance:
@@ -186,7 +183,7 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
             if sum(map(mul, form, hp)) < 0:  # the integer slack of the pair
                 h = inst.halfspaces[k - 1]
                 try:
-                    values = f" ({h.evaluate(p)} > {h.offset})"
+                    values = f" ({sum(map(mul, h.normal, p))} > {h.offset})"
                 except ValueError:  # an integer past sys.get_int_max_str_digits()
                     values = " (values too long to print)"
                 issues.append(ValidationIssue(CHECK_CONTAINMENT, f"point {i}", f"violates halfspace {k}{values}"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -224,6 +224,43 @@ def homology_all_ranks(J: IncidenceMinor, max_faces: int = 10_000) -> BettiProfi
     return BettiProfile(tuple(reduced))
 
 
+def prefix_homology(d: int, rows: Sequence[int]) -> list[int]:
+    """The reduced (d-1)-st Z2 Betti number of the crosscut complex of every prefix of the rows.
+
+    One column reduction over the whole filtration, d >= 1.  Each face with
+    d-1, d or d+1 vertices (masks) enters with the first row that holds it,
+    and the faces are ordered by (entry row, size, mask), so a face comes
+    after its own faces and the faces of every prefix come first.  The
+    faces with d or d+1 vertices get their boundary over all of them as a
+    column (boundary_columns); at d = 1 a vertex's boundary is the empty
+    face, the augmentation row.  Columns are reduced left to right on their
+    highest bit.  A d-vertex face whose column vanishes opens a cycle class
+    with its entry row, and a (d+1)-vertex face whose reduced column tops
+    at that face closes it with its own.  Entry k-1 of the result counts
+    the classes open after row k.
+    """
+    entry: dict[int, int] = {}
+    for r, row in enumerate(rows):
+        verts = [1 << v for v in range(row.bit_length()) if row >> v & 1]
+        for size in (d - 1, d, d + 1):
+            for combo in combinations(verts, size):
+                entry.setdefault(sum(combo), r)
+    faces = sorted(entry, key=lambda f: (entry[f], f.bit_count(), f))
+    upper = [f for f in faces if f.bit_count() > d - 1]
+    change = [0] * len(rows)  # per row, the classes it opens minus those it closes
+    pivots: dict[int, int] = {}
+    for face, col in zip(upper, boundary_columns(upper, faces)):
+        while col and col.bit_length() in pivots:
+            col ^= pivots[col.bit_length()]
+        if col:
+            pivots[col.bit_length()] = col
+            if face.bit_count() == d + 1:
+                change[entry[face]] -= 1
+        elif face.bit_count() == d:
+            change[entry[face]] += 1
+    return list(accumulate(change))
+
+
 def pulling_triangulation_by_flags(I: IncidenceMinor, max_tuples: int = 2_000_000) -> frozenset:
     """Facets of the pulling triangulation of a complete matrix, by brute
     force over all d-tuples of rows.
@@ -282,7 +319,7 @@ def tight_masks_and_violations(inst) -> tuple[tuple[int, ...], list[tuple[int, i
     violations = []
     for i, p in enumerate(inst.points):
         for k, h in enumerate(inst.halfspaces):
-            value = h.evaluate(p)
+            value = sum(a * x for a, x in zip(h.normal, p))
             if value == h.offset:
                 tight[k] |= 1 << i
             elif value > h.offset:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polycomplete.crosscut import enumerate_faces
@@ -9,6 +11,7 @@ from oracle import (
     exact_hull,
     homology_all_ranks,
     hull_facets,
+    prefix_homology,
     pulling_triangulation_by_flags,
     pyramid,
     supports,
@@ -65,6 +68,15 @@ class TestHomologyOracle:
             (-1) ** k * profile.betti(k) for k in range(-1, profile.max_dim + 1)
         )
         assert faces_alternating == betti_alternating
+
+    def test_prefix_homology_matches_every_prefix(self):
+        """One reduction over the filtration gives each prefix's Betti number, empty rows included."""
+        rng = random.Random(26)
+        for _ in range(200):
+            d, n = rng.randint(1, 4), rng.randint(1, 7)
+            rows = tuple(rng.getrandbits(n) for _ in range(rng.randint(1, 6)))
+            prefixes = [IncidenceMinor(d, n, rows[:k]) for k in range(1, len(rows) + 1)]
+            assert prefix_homology(d, rows) == [homology_all_ranks(J).betti(d - 1) for J in prefixes], (d, rows)
 
 
 class TestFlagOracle:

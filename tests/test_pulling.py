@@ -224,10 +224,12 @@ class TestStepOneFilter:
     @pytest.mark.parametrize(
         "d, J, step_one, shipped",
         [
+            (3, cube_km(), 18, 12),
+            (4, prism(cube_km()), 264, 96),
             (4, prism(cyclic_incidence(3, 14)), 559, 142),
             (6, prism(prism(prism(cube_km()))), 96_228, 42_324),
         ],
-        ids=["prism-cyclic-3-14", "prism-prism-prism-cube-km"],
+        ids=["cube-km", "prism-cube-km", "prism-cyclic-3-14", "prism-prism-prism-cube-km"],
     )
     def test_membership_tests_in_more_walks(self, d, J, step_one, shipped):
         assert complete_walk_tests(d, J, pulling._cofacets, step_one_cofacets) == [shipped, step_one]
@@ -277,6 +279,16 @@ class TestStepTwoFilter:
 class TestFindCertificate:
     def test_complete_km_returns_none(self, km):
         assert find_certificate(3, km) is None
+
+    def test_complete_cube_walks_find_two_d_factorial_facets(self):
+        """On the complete d-cube the walk visits the whole pulling triangulation: 2 * d! facets."""
+        J, found = cube_km(), []
+        for d in range(3, 7):
+            cert, _, hits = walk_members(d, J, pulling._cofacets)
+            assert cert is None
+            found.append(len(hits))
+            J = prism(J)
+        assert found == [12, 48, 240, 1_440]
 
     def test_km_d4_empty_complex(self, km):
         cert = find_certificate(4, km)
