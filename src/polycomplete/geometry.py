@@ -26,6 +26,7 @@ extracts after validating writes exactly the matrix that was checked.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .incidence import FormatError, IncidenceMinor, bits, body_lines, decimal_int, read_header, text_lines
+from .incidence import FormatError, IncidenceMinor, bits, body_lines, read_header, text_lines
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -42,6 +43,10 @@ CHECK_CONTAINMENT = "containment"
 CHECK_FULL_DIMENSION = "full-dimension"
 CHECK_VERTEX = "vertex"
 CHECK_FACET = "facet"
+
+# the one rational grammar; int() and Fraction() alone would also read '_',
+# non-ASCII digits and exponents (1e9999999 has ten million digits)
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
 class GeometryFormatError(FormatError):
@@ -258,34 +263,27 @@ def _parse_rationals(line: str, expected: int, lineno: int) -> tuple[Fraction, .
         raise GeometryFormatError(f"expected {expected} rationals, found {len(parts)}", lineno)
     values = []
     for part in parts:
-        num, slash, den = part.partition("/")
         try:
-            if "." in part:
-                # Fraction also reads exponents (1e9999999 has ten million
-                # digits), '_' separators and non-ASCII digits
-                if "e" in part or "E" in part or "_" in part or not part.isascii():
-                    raise ValueError(part)
-                values.append(Fraction(part))
-            elif num.startswith("+-") or den.startswith("-"):
+            if not _RATIONAL.fullmatch(part):
                 raise ValueError(part)
-            else:
-                # integers and num/den skip Fraction's regular expression
-                value = decimal_int(num.removeprefix("+"))
-                values.append(Fraction(value, decimal_int(den)) if slash else Fraction(value))
+            if "." in part:
+                values.append(Fraction(part))
+            else:  # integers and num/den skip Fraction's regular expression
+                num, _, den = part.partition("/")
+                values.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
         except (ValueError, ZeroDivisionError):
             raise GeometryFormatError(f"bad rational {part!r}", lineno) from None
     return tuple(values)
 
 
 def parse_geometry(text: str) -> GeometricInstance:
-    """Parse the plain-text geometry format.
+    r"""Parse the plain-text geometry format.
 
-    Header "d p h", then p lines of d rationals (points), then h lines of
-    d+1 rationals (halfspace normal, then offset).  Rationals are
-    integers, "num/den" or decimals ("0.5", ".5", "5."), each with an
-    optional leading sign, and no exponents; '#' lines are comments.
-    Blank lines are ignored, except that when d = 0 each point is an
-    empty line.
+    Header "d p h" (integers, -?[0-9]+), then p lines of d rationals
+    (points), then h lines of d+1 rationals (halfspace normal, then
+    offset), each matching [+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+).
+    '#' lines are comments.  Blank lines are ignored, except that when
+    d = 0 each point is an empty line.
     """
     lines = text_lines(text)
     d, p, h = read_header(lines, "d p h", GeometryFormatError)

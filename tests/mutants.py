@@ -76,6 +76,13 @@ MUTANTS = (
         "sum(map(mul, form, hp)) > 0",
         ("test_geometry.py",),
     ),
+    Mutant(
+        "rational digits as \\d",
+        "geometry.py",
+        r'r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)"',
+        r'r"[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)"',
+        ("test_formats.py",),
+    ),
 )
 
 

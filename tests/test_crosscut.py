@@ -352,6 +352,20 @@ class TestCollapse:
     def test_small_cases(self, d, rows):
         assert_collapse_exact(d, IncidenceMinor(d, 10, rows))
 
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_only_the_lone_row_collapses(self, n):
+        """The n rows of n-1 vertices out of n, and one row on 10 more vertices.
+
+        collapse replaces only the lone row, so the shapes are counted from
+        all n+1 rows, which takes time exponential in n (about 2 s at n = 20).
+        """
+        full = (1 << n) - 1
+        rows = tuple(full & ~(1 << i) for i in range(n)) + (((1 << 10) - 1) << n,)
+        M = IncidenceMinor(2, n + 10, rows)
+        K, _ = collapse(2, M)
+        assert set(rows[:n]) < set(K.row_masks) and rows[n] not in K.row_masks
+        assert_collapse_exact(2, M, n)
+
     def test_random_set_systems(self):
         """Arbitrary rows, not only polytopes': nested, repeated, disjoint and empty ones."""
         rng = random.Random(14)

@@ -105,6 +105,7 @@ DIAGNOSTICS = [
     *(
         pytest.param(GEO, f"1 1 1\n{token}\n1 1\n", f"line 2: bad rational {token!r}", 2, id=f"geo-refused-{token}")
         for token in ("1/-2", "1.5/2", "3/4.0", "0x1", "nan", "inf", "1/2/3", "1.2.3")
+        + ("+-1", "-+1", "1/+2", ".", "+", "-", "+.", "/2", "1/", "0/0", "1./2")
     ),
     # certificate: only the line count has no single line to name
     pytest.param(CERT, "", "certificate must be a single line", None, id="cert-empty"),
@@ -148,6 +149,10 @@ ACCEPTED_RATIONALS = [
     ("-0", Fraction(0)),
     ("00012", Fraction(12)),
     ("1/002", Fraction(1, 2)),
+    ("+.5", Fraction(1, 2)),
+    ("-5.", Fraction(-5)),
+    ("+0/3", Fraction(0)),
+    ("007/008", Fraction(7, 8)),
 ]
 
 
