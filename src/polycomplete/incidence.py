@@ -14,7 +14,7 @@ module provides the checkable entry path from coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 Face = int  # vertex bitmask: bit v-1 stands for vertex v
@@ -107,12 +107,14 @@ class IncidenceMinor:
 
     Rows are stored as integer bitmasks; bit j-1 of ``row_masks[i]`` is the
     entry in row i+1, column j.  Values are immutable after construction;
-    all operations on them are pure.
+    all operations on them are pure.  ``rows_with`` caches each vertex's
+    rows on the instance, outside ``==``, ``hash`` and ``repr``.
     """
 
     d: int
     n: int
     row_masks: tuple[int, ...]
+    _rows_with: dict[Face, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 0:
@@ -126,6 +128,13 @@ class IncidenceMinor:
     @property
     def m(self) -> int:
         return len(self.row_masks)
+
+    def rows_with(self, vertex: Face) -> tuple[int, ...]:
+        """The rows that hold a vertex, given as a one-bit mask, in row order; built once per vertex."""
+        rows = self._rows_with.get(vertex)
+        if rows is None:
+            rows = self._rows_with[vertex] = tuple([r for r in self.row_masks if r & vertex])
+        return rows
 
 
 def transpose(J: IncidenceMinor) -> IncidenceMinor:

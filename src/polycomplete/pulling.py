@@ -56,14 +56,16 @@ def is_pulling_facet(d: int, J: IncidenceMinor, candidate: Face) -> bool:
 
     Mirrors the greedy check: for i = 1..d pick the first row F (by row
     index) that contains {vi, ..., vd} and has vi = min(F1 & ... &
-    F_{i-1} & F).  Runs in O(dm) operations on the n-bit row masks.
+    F_{i-1} & F).  Every such row holds vd, so only the rows through vd
+    are scanned, in row order: O(d) operations on the n-bit masks of each.
     """
     _check_face(d, J, candidate, "candidate")
+    rows = J.rows_with(1 << candidate.bit_length() >> 1)  # vd; none for d = 0
     need = candidate  # {v_i, .., v_d}
     current = -1  # every vertex
     while need:
         bit = need & -need
-        for r in J.row_masks:
+        for r in rows:
             if r & need == need:
                 meet = current & r
                 if meet & -meet == bit:
@@ -115,13 +117,15 @@ def _cofacets(d: int, J: IncidenceMinor, ridge: Face, memo: dict[Face, bool]) ->
     starts at u (``above``) and the start of one that starts below u
     (``below``).  A w above u must pass step 2 too, so lie in a row that
     holds ridge - u and misses u (``off``): the step-1 row holds u, so a
-    step-2 row holding u would meet it with minimum u.  For d = 1 the
-    ridge is empty, every row holds it, and only ``below`` counts.
+    step-2 row holding u would meet it with minimum u.  Only rows through
+    the top vertex of ridge - u can hold it, so only those are scanned;
+    for d <= 2, ridge - u is empty and every row is.  For d = 1 the ridge
+    is empty too, and only ``below`` counts.
     """
     first = ridge & -ridge
     rest = ridge ^ first
     above = below = off = 0
-    for r in J.row_masks:
+    for r in J.rows_with(1 << rest.bit_length() >> 1) if rest else J.row_masks:
         if r & rest == rest:
             if r & first != first:
                 off |= r

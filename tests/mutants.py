@@ -63,6 +63,20 @@ MUTANTS = (
     Mutant("step-2 filter on ridge, not rest", "pulling.py", "if r & rest == rest:", "if r & ridge == ridge:", PULLING),
     Mutant("d = 1 slip in the step-2 test", "pulling.py", "if r & first != first:", "if not r & first:", PULLING),
     Mutant(
+        "membership scans the rows through the lowest vertex",
+        "pulling.py",
+        "J.rows_with(1 << candidate.bit_length() >> 1)",
+        "J.rows_with(candidate & -candidate)",
+        PULLING,
+    ),
+    Mutant(
+        "_cofacets scans the rows through u, missing off",
+        "pulling.py",
+        "J.rows_with(1 << rest.bit_length() >> 1)",
+        "J.rows_with(first)",
+        PULLING,
+    ),
+    Mutant(
         "pivot on the lowest bit",
         "gf2.py",
         "top = col.bit_length()",

@@ -261,6 +261,26 @@ def prefix_homology(d: int, rows: Sequence[int]) -> list[int]:
     return list(accumulate(change))
 
 
+def pulling_member_by_scan(J: IncidenceMinor, labels: Sequence[int]) -> bool:
+    """Membership of the increasing vertex labels v1 < ... < vd in the pulling
+    complex of J, by the greedy over every row.
+
+    For i = 1..d takes the first row, in row order, that holds {vi, ..., vd}
+    and whose meet with the rows taken before has least vertex vi; fails
+    when no row does.
+    """
+    rows = [set(sup) for sup in supports(J)]
+    meet = set(range(1, J.n + 1))
+    for i, v in enumerate(labels):
+        for row in rows:
+            if set(labels[i:]) <= row and min(meet & row) == v:
+                meet &= row
+                break
+        else:
+            return False
+    return True
+
+
 def pulling_triangulation_by_flags(I: IncidenceMinor, max_tuples: int = 2_000_000) -> frozenset:
     """Facets of the pulling triangulation of a complete matrix, by brute
     force over all d-tuples of rows.

@@ -183,6 +183,39 @@ class TestSizeStats:
         assert size_stats(transpose(J)) == size_stats(J)[::-1]
 
 
+class TestRowsWith:
+    ROWS = (0b011, 0b110, 0, 0b011, 0b010)
+
+    def test_rows_in_order_with_duplicates(self):
+        J = IncidenceMinor(2, 4, self.ROWS)
+        assert J.rows_with(0b001) == (0b011, 0b011)
+        assert J.rows_with(0b010) == (0b011, 0b110, 0b011, 0b010)
+        assert J.rows_with(0b100) == (0b110,)
+
+    def test_vertex_in_no_row(self):
+        assert IncidenceMinor(2, 4, self.ROWS).rows_with(0b1000) == ()
+
+    def test_repeat_call_returns_the_same_object(self):
+        J = IncidenceMinor(2, 4, self.ROWS)
+        assert J.rows_with(0b010) is J.rows_with(0b010)
+
+    def test_random_matrices_match_supports(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            J = IncidenceMinor(1, n, tuple(rng.getrandbits(n) for _ in range(rng.randint(0, 10))))
+            for v in range(1, n + 1):
+                assert J.rows_with(1 << (v - 1)) == tuple(r for r, sup in zip(J.row_masks, supports(J)) if v in sup)
+
+    def test_warm_cache_is_invisible(self, km):
+        warm, fresh = IncidenceMinor(km.d, km.n, km.row_masks), IncidenceMinor(km.d, km.n, km.row_masks)
+        for v in range(warm.n):
+            warm.rows_with(1 << v)
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+
+
 class TestValidation:
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from polycomplete.fixtures import (
     simplex_incidence,
 )
 from polycomplete import pulling
-from polycomplete.incidence import IncidenceMinor, bits
+from polycomplete.incidence import IncidenceMinor, bits, vertices
 from polycomplete.pulling import (
     CertificateFormatError,
     PullingCertificate,
@@ -29,7 +29,7 @@ from polycomplete.pulling import (
     verify_certificate,
 )
 
-from oracle import pulling_triangulation_by_flags, vertex_mask
+from oracle import pulling_member_by_scan, pulling_triangulation_by_flags, vertex_mask
 
 # pulling triangulation of the Klee-Minty cube: two triangles per facet,
 # coned from the facet's smallest vertex over its two far edges
@@ -63,6 +63,11 @@ class TestIsPullingFacet:
     def test_out_of_range_vertex(self, km):
         with pytest.raises(ValueError):
             is_pulling_facet(3, km, vertex_mask((1, 7, 9)))
+
+    @pytest.mark.parametrize("rows", [(0b11,), ()], ids=["one-row", "no-rows"])
+    def test_d0_empty_candidate(self, rows):
+        # the empty candidate has no highest vertex, and passes with no step
+        assert is_pulling_facet(0, IncidenceMinor(0, 2, rows), 0) is True
 
 
 class TestFindPullingFacet:
@@ -111,6 +116,17 @@ class TestRidgeCofacetCount:
         segment = simplex_incidence(1)
         assert ridge_cofacet_count(1, segment, 0) == 2
         assert ridge_cofacet_count(1, delete_minor(segment, rows=[2]), 0) == 1
+
+    def test_d1_every_row_scanned(self):
+        # rows {2,3}, {}, {2,3}, {3}: {2} passes through row 1, {3} only through row 4
+        assert ridge_cofacet_count(1, IncidenceMinor(1, 3, (0b110, 0, 0b110, 0b100)), 0) == 2
+
+    def test_d2_every_row_scanned(self):
+        # ridge - u is empty at d = 2, so the step-2 rows are the rows missing u
+        pentagon = cyclic_incidence(2, 5)
+        assert [ridge_cofacet_count(2, pentagon, 1 << v) for v in range(5)] == [2] * 5
+        minor = delete_minor(pentagon, rows=[3])  # edge {2,3}
+        assert [ridge_cofacet_count(2, minor, 1 << v) for v in range(5)] == [1, 0, 1, 2, 2]
 
 
 def _tried(d, J, ridge, star, memo):
@@ -233,6 +249,45 @@ class TestStepOneFilter:
     )
     def test_membership_tests_in_more_walks(self, d, J, step_one, shipped):
         assert complete_walk_tests(d, J, pulling._cofacets, step_one_cofacets) == [shipped, step_one]
+
+
+def random_scan_minor(rng, d):
+    """A random matrix at dimension d with an empty row, duplicate rows and a vertex in no row."""
+    n = rng.randint(d + 1, 9)
+    density = 0.3 + 0.6 * rng.random()
+    absent = rng.randrange(n)
+    count = rng.randint(1, 2 * d + 4)
+    rows = [sum(1 << v for v in range(n) if v != absent and rng.random() < density) for _ in range(count)]
+    rows += [0, *rng.choices(rows, k=rng.randint(1, 3))]
+    rng.shuffle(rows)
+    return IncidenceMinor(d, n, tuple(rows))
+
+
+class TestRowsThroughOneVertex:
+    """Scanning only the rows through one vertex answers as the greedy over every row does."""
+
+    def test_membership_matches_full_scan(self):
+        rng = random.Random(28)
+        hits = dict.fromkeys(range(1, 6), 0)
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            J = random_scan_minor(rng, d)
+            for labels in combinations(range(1, J.n + 1), d):
+                member = is_pulling_facet(d, J, vertex_mask(labels))
+                assert member == pulling_member_by_scan(J, labels), (d, J.row_masks, labels)
+                hits[d] += member
+        assert all(hits.values()), hits  # members at every d
+
+    def test_cofacets_match_full_scan(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            J = random_scan_minor(rng, d)
+            for ridge in map(vertex_mask, combinations(range(1, J.n + 1), d - 1)):
+                outside = [ridge | 1 << v for v in range(J.n) if not ridge >> v & 1]
+                expected = [cand for cand in outside if pulling_member_by_scan(J, vertices(cand))]
+                found = pulling._cofacets(d, J, ridge, {})
+                assert found == expected == unfiltered_cofacets(d, J, ridge, {}), (d, J.row_masks, ridge)
 
 
 # simple polytopes, where the step-2 rule prunes
