@@ -9,9 +9,13 @@ matrix one has to take on faith.
 Rationals are scaled to integers once per object: a halfspace a.x <= b
 as L(b, -a) and a point x as (D, Dx), L and D > 0 the lcms of their
 denominators, so that their dot product is the integer slack LD(b - a.x).
-Validation sweeps the pairs twice, as tightness stays with the one builder
-of the incidence matrix, extract_incidence (perfbench counts its calls to
-Halfspace.is_tight), while containment reads each slack's sign inline.
+Containment reads many slacks at once, from integer products over
+coordinates packed into lanes (points and halfspaces in classes by bit
+width; of each pair of classes the wider is packed and the narrower
+multiplies it), and reads single pairs only to word the messages of the
+halfspaces it fails.  Tightness stays a sweep of the pairs in the one
+builder of the incidence matrix, extract_incidence (perfbench counts its
+calls to Halfspace.is_tight).
 The other checks read the tight masks and take their rank rows from the
 set bits.  Ranks are taken by one exact fraction-free elimination; an
 affine rank is the rank of the points' homogeneous forms, minus one.
@@ -30,6 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -164,6 +169,77 @@ def rational_rank(rows: Sequence[Sequence[int]], bound: int) -> int:
     return len(basis)
 
 
+def _width_classes(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """The rows' indices grouped by the bit length of each row's widest
+    entry, as (class, indices): class 0 below 64 bits, then one per doubling."""
+    keys = [(max(map(int.bit_length, row)) >> 6).bit_length() for row in rows]
+    return [(key, [i for i, k in enumerate(keys) if k == key]) for key in set(keys)]
+
+
+def _violated_forms(forms: Sequence[Sequence[int]], points: Sequence[Sequence[int]]) -> list[int]:
+    """The indices of the forms on which some point has a negative slack.
+
+    Forms and points are taken one pair of width classes at a time, and
+    the wider side of a pair is packed while the narrower one multiplies
+    it.  A wide point or form then widens the lanes of its own class only:
+    a lane is at most about four times as wide as the widest entry of
+    each row packed in it, or about 128 bits, so the packed integers stay
+    within a constant factor of the input in size, and a product costs
+    about what the per-pair products it replaces cost.
+    """
+    point_classes = [(key, [points[i] for i in c]) for key, c in _width_classes(points)]
+    violated: set[int] = set()
+    for form_key, ks in _width_classes(forms):
+        rows = [forms[k] for k in ks]
+        for point_key, group in point_classes:
+            if form_key > point_key:
+                violated.update(ks[k] for k in _negative_products(rows, group)[0])
+            else:
+                violated.update(ks[k] for k in _negative_products(group, rows)[1])
+    return sorted(violated)
+
+
+def _negative_products(
+    rows: Sequence[Sequence[int]], multipliers: Sequence[Sequence[int]]
+) -> tuple[set[int], set[int]]:
+    """The indices of the rows, and of the multipliers, that have a negative
+    dot product with some multiplier, or row: one packed product per
+    multiplier.
+
+    Coordinate j of the rows is packed into S_j = sum_i x_ij 2^(w i), an
+    integer of w-bit lanes: the bytes of the biased x_ij + M_j
+    (M_j = max_i |x_ij|, so each lies in [0, 2 M_j]), less M_j in every
+    lane.  Then H + sum_j y_j S_j, y a multiplier and H holding 2^(w-1) in
+    every lane, holds y.x_i + 2^(w-1) in lane i, and no lane carries while
+    2^(w-1) > B = sum_j N_j M_j, N_j = max_y |y_j|; a lane's top bit is
+    clear iff its product is negative.  2^(w-1) > M_j lets every biased
+    coordinate fill its lane too, which B alone does not ensure when the
+    multipliers are all zero in a coordinate.  Packing by int.from_bytes
+    is linear in the packed size, and so is writing a value into every
+    lane by repeating its bytes, where multiplying by 1 in every lane
+    would cost a product of two wide integers.
+    """
+    columns = list(zip(*rows))
+    bias = [max(map(abs, col)) for col in columns]
+    bound = sum(max(map(abs, col)) * m for col, m in zip(zip(*multipliers), bias))
+    size = (max(bound, *bias).bit_length() + 8) // 8  # lane bytes: 2^(w-1) > bound and every M_j
+    packed = [
+        int.from_bytes(b"".join((x + m).to_bytes(size, "little") for x in col), "little")
+        - int.from_bytes(m.to_bytes(size, "little") * len(rows), "little")
+        for col, m in zip(columns, bias)
+    ]
+    high = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * len(rows), "little")
+    negative_multipliers: set[int] = set()
+    hit = 0
+    for k, y in enumerate(multipliers):
+        negative = high & ~(high + sum(map(mul, y, packed)))  # the top bits of the negative lanes
+        if negative:
+            negative_multipliers.add(k)
+            hit |= negative
+    tops = hit.to_bytes(len(rows) * size, "little")[size - 1 :: size]  # a byte a lane, nonzero if negative
+    return set(compress(range(len(rows)), tops)), negative_multipliers
+
+
 def validate_instance(inst: GeometricInstance) -> ValidationReport:
     """Check the preconditions of the geometric completeness problem.
 
@@ -183,8 +259,9 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
 
     homogeneous = inst.homogeneous_points
     forms = [h.integer_form for h in inst.halfspaces]
+    violated = [(k + 1, forms[k]) for k in _violated_forms(forms, homogeneous)]
     for i, (p, hp) in enumerate(zip(inst.points, homogeneous), start=1):
-        for k, form in enumerate(forms, start=1):
+        for k, form in violated:  # only the failed halfspaces' pairs, to word the messages
             if sum(map(mul, form, hp)) < 0:  # the integer slack of the pair
                 h = inst.halfspaces[k - 1]
                 try:

@@ -91,6 +91,14 @@ MUTANTS = (
         ("test_geometry.py",),
     ),
     Mutant(
+        "lane one bit narrower than the width rule",
+        "geometry.py",
+        "bit_length() + 8) // 8",
+        "bit_length() + 7) // 8",
+        ("test_geometry.py",),
+    ),
+    Mutant("guard-bit test inverted", "geometry.py", "high & ~(high", "high & (high", ("test_geometry.py",)),
+    Mutant(
         "rational digits as \\d",
         "geometry.py",
         r'r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)"',

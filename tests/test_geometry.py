@@ -1,6 +1,9 @@
 import hashlib
 import random
+import time
+import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -388,6 +391,164 @@ def test_sweeps_match_the_fraction_reference(instances):
         tight, violations = tight_masks_and_violations(inst)
         assert report.incidence.row_masks == tight
         assert _containment_pairs(report) == violations
+
+
+def _random_wide_instances(count, seed):
+    """Seeded instances whose coordinates and coefficients are zero or
+    signed rationals from 1 to 10^30 in size, over denominators up to 10^6.
+    Each offset is the largest value of its normal on a few of the points,
+    sometimes moved by a little, so a halfspace is tight on some points and
+    violated by others."""
+    rng = random.Random(seed)
+
+    def rational():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        den = rng.choice((1, 1, 2, 3, 7, 10**6))
+        return Fraction(rng.choice((-1, 1)) * rng.randint(den, 10 ** rng.randint(0, 30) * den), den)
+
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        points = [tuple(rational() for _ in range(d)) for _ in range(rng.randint(1, 9))]
+        halfspaces = []
+        for _ in range(rng.randint(0, 6)):
+            normal = tuple(rational() for _ in range(d))
+            if not any(normal):
+                normal = (Fraction(1), *normal[1:])
+            top = max(sum(a * x for a, x in zip(normal, p)) for p in rng.sample(points, rng.randint(1, len(points))))
+            halfspaces.append(Halfspace(normal, top + rng.choice((0, 0, 1, -1, Fraction(-1, 10**30)))))
+        yield GeometricInstance(d, tuple(points), tuple(halfspaces))
+
+
+def _exact_bound_instances():
+    """Slacks of exactly +B and -B, B = sum_j N_j M_j the lane rule's
+    bound, for B of every bit length up to 80: the points are packed while
+    the form is under 64 bits, and the form after; the point coordinates
+    stay small, so B alone sets the lane width.  A lone point at -B is the
+    case a narrow lane gets wrong: its lane wraps to a set top bit, and no
+    other lane shows the violation."""
+    for t in range(1, 81):
+        for a in (2**t - 1, 2 ** (t - 1)):
+            for points in (((1,),), ((-1,),), ((1,), (-1,))):
+                yield GeometricInstance(1, points, (Halfspace((a,), 0),))  # slack -a at 1, +a at -1
+            for points in (((1, 2),), ((1, 2), (-1, -2))):
+                yield GeometricInstance(2, points, (Halfspace((a, 1), 0),))  # slacks -(a + 2), +(a + 2)
+            # the offset's term reaches its bound too: slack -(2a + 2) = -B at (1, 2)
+            yield GeometricInstance(2, ((1, 2),), (Halfspace((a, 1), -a),))
+
+
+def _edge_instances():
+    big = 10**40
+    yield GeometricInstance(2, ((0, 0), (1, 0), (0, 1)), ())  # no halfspaces
+    yield GeometricInstance(3, ((1, 2, 3),), (Halfspace((1, 0, 0), 0), Halfspace((0, 1, 0), 2)))  # one point
+    yield GeometricInstance(3, ((1, 2, 3),), (Halfspace((1, 0, 0), 1),))  # one point, inside
+    # d = 1: an interval and a point on each side of it
+    yield GeometricInstance(1, ((0,), (1,), (-1,), (2,)), (Halfspace((-1,), 0), Halfspace((1,), 1)))
+    # x <= 1 has a zero entry beside y, which is far larger than its B = 3
+    yield GeometricInstance(2, ((0, big), (2, -big), (1, 0)), (Halfspace((1, 0), 1),))
+    yield GeometricInstance(2, ((Fraction(1, 3), big), (Fraction(4, 3), -big)), (Halfspace((3, 0), 1),))
+    # the mirror case, with the form packed: x is 0 on every point, beside a
+    # coefficient of x far larger than B = 3
+    yield GeometricInstance(2, ((0, 1), (0, -1), (0, 2)), (Halfspace((big, 1), 1),))
+    # a point and a form of 4,000 digits, each in a width class of its own
+    huge = 10**4000
+    points = ((0, 0), (huge, 1), (1, 1), (-huge, 2))
+    yield GeometricInstance(2, points, (Halfspace((1, 0), 1), Halfspace((0, 1), 1), Halfspace((huge, 1), huge)))
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [lambda: _random_wide_instances(300, 20261020), _exact_bound_instances, _edge_instances],
+    ids=["random-wide", "exact-bound", "edge"],
+)
+def test_containment_matches_the_fraction_reference(instances):
+    """The packed containment test against Fractions: the containment issues
+    name exactly the strictly violated pairs, point-major."""
+    for inst in instances():
+        report = validate_instance(inst)
+        tight, violations = tight_masks_and_violations(inst)
+        assert _containment_pairs(report) == violations, inst
+        assert report.incidence.row_masks == tight
+
+
+def _small_points(rng, n):
+    return [(rng.randint(1, 10**3), *(rng.randint(-(10**9), 10**9) for _ in range(3))) for _ in range(n)]
+
+
+def _timed(f, *args):
+    t0 = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - t0
+
+
+def _kernel_cost(forms, points):
+    return min(_timed(geometry._violated_forms, forms, points) for _ in range(5))
+
+
+def test_containment_cost_grows_roughly_linearly():
+    # smoke check only: sixteen times the points should cost about sixteen
+    # to twenty times as much (the packed integers outgrow the caches), far
+    # below the 256 of a packing that is quadratic in them; generous slack
+    # keeps timing noise out
+    rng = random.Random(7)
+    forms = [tuple(rng.randint(-(10**6), 10**6) for _ in range(4)) for _ in range(6)]
+    small, large = _kernel_cost(forms, _small_points(rng, 2500)), _kernel_cost(forms, _small_points(rng, 40000))
+    assert large < 60 * small + 1e-3
+
+
+def test_one_wide_point_widens_no_other_lane():
+    # a point of 4,000 digits among 5,000 small ones is packed in a width
+    # class of its own and costs about one point more; lanes that wide for
+    # every point would cost about seventy times as much
+    rng = random.Random(11)
+    forms = [tuple(rng.randint(-(10**6), 10**6) for _ in range(4)) for _ in range(6)]
+    points = _small_points(rng, 5000)
+    wide = points + [(1, 10**4000, -(10**4000), 10**3999)]
+    assert _kernel_cost(forms, wide) < 4 * _kernel_cost(forms, points) + 1e-3
+
+
+def _wide_rows(rng, n):
+    return [tuple(rng.choice((-1, 1)) * rng.randint(10**3999, 10**4000) for _ in range(4)) for _ in range(n)]
+
+
+def _per_pair_violated_forms(forms, points):
+    """The per-pair sweep the packed test replaces: every slack on its own."""
+    return [k for k, form in enumerate(forms) if min(sum(map(mul, form, p)) for p in points) < 0]
+
+
+@pytest.mark.parametrize("case", ["wide form", "wide points", "wide forms"])
+def test_wide_values_cost_about_what_the_per_pair_sweep_costs(case):
+    # the wider side of a pair of width classes is packed and the narrower
+    # multiplies it; packing the narrower side too, or one class for every
+    # width, costs 10 to 30 times the per-pair sweep on one of these cases,
+    # the packed test 1 to 3 times
+    rng = random.Random(17)
+    small_forms = [tuple(rng.randint(-(10**6), 10**6) for _ in range(4)) for _ in range(6)]
+    forms, points = {
+        "wide form": (small_forms[:5] + [(10**4000, 1, -1, 1)], _small_points(rng, 5000)),
+        "wide points": (small_forms, _wide_rows(rng, 200)),
+        "wide forms": (_wide_rows(rng, 200), _small_points(rng, 6)),
+    }[case]
+    assert geometry._violated_forms(forms, points) == _per_pair_violated_forms(forms, points)
+    per_pair = min(_timed(_per_pair_violated_forms, forms, points) for _ in range(5))
+    assert _kernel_cost(forms, points) < 8 * per_pair + 1e-3
+
+
+def test_one_wide_form_keeps_the_packed_integers_small():
+    # an entry of 4,000 digits makes the lanes of its class pair that wide;
+    # the form is packed and the narrower points multiply it, where packing
+    # the 5,000 points in lanes that wide would take 8 MB a coordinate
+    rng = random.Random(13)
+    forms = [tuple(rng.randint(-(10**6), 10**6) for _ in range(4)) for _ in range(5)]
+    forms.append((10**4000, 1, -1, 1))
+    points = _small_points(rng, 5000)
+    tracemalloc.start()
+    try:
+        geometry._violated_forms(forms, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestScalingInvariance:
