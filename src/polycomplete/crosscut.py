@@ -108,33 +108,40 @@ def boundary_matrix(upper: FaceLayer, J: IncidenceMinor) -> tuple[Gf2Matrix, Fac
 def collapse(d: int, M: IncidenceMinor) -> tuple[IncidenceMinor, int]:
     """Rows of a complex K' that M's crosscut complex K collapses onto, and the pair count q.
 
-    One pass over the distinct rows, largest first.  A row F with more
-    than d+1 vertices meets the other generators in C, the union of the
-    empty face and the simplices on F & S.  Its simplex is replaced with
-    the cone over C from the lowest vertex a of F with F - a not in C, if
-    that lowers the face bound sum_{k=d-2..d} C(|g|, k+1).  The cone is
-    listed as a + c for the maximal faces c of C without a, the only ones
-    that add a face: one with a is some F & S and already lies in S.  A
-    row alone has C = {empty face} and becomes the vertex a.  K collapses
-    onto K' through the pairs (t, t + a), t a subset of F - a not in C; a
-    pair with |t| = d lowers the rank of the boundary out of the d-faces
-    by one and leaves the rank out of the (d-1)-faces as it was.  q counts
-    those pairs: C(|F|-1, d) minus the d-subsets of F - a in C, which are
-    counted from the maximal faces of C (``_count_subsets``).  M itself
-    is returned when no row is replaced.
+    One pass over the distinct rows, smallest first (ties by mask): a
+    replaced row adds its cones to the generators every later row scans,
+    and the biggest rows add the most.  A row F with more than d+1
+    vertices meets the other generators in C, the union of the empty face
+    and the simplices on F & S.  Its simplex is replaced with the cone
+    over C from the lowest vertex a of F with F - a not in C, if that
+    lowers the face bound sum_{k=d-2..d} C(|g|, k+1).  The cone is listed
+    as a + c for the maximal faces c of C without a and with at least d-2
+    vertices, the only ones that add a face the decision reads: one with
+    a is some F & S and already lies in S, and a smaller one adds no face
+    with d-1..d+1 vertices.  A row alone has C = {empty face} and becomes
+    the vertex a, or nothing when d > 2.  The apex test reads the meets,
+    not C, so a row inside another generator S can find an apex; its only
+    top is then F & S = F, and the row is dropped with no pairs.  K
+    collapses onto K' through the pairs (t, t + a), t a subset of F - a
+    not in C; a pair with |t| = d lowers the rank of the boundary out of
+    the d-faces by one and leaves the rank out of the (d-1)-faces as it
+    was.  q counts those pairs: C(|F|-1, d) minus the d-subsets of F - a
+    in C, which are counted from the maximal faces of C
+    (``_count_subsets``).  M itself is returned when no row is replaced.
     """
     gens = set(M.row_masks)
     q = 0
     replaced = False
-    big = sorted((F for F in gens if F.bit_count() > d + 1), key=lambda F: (-F.bit_count(), F))
+    big = sorted((F for F in gens if F.bit_count() > d + 1), key=lambda F: (F.bit_count(), F))
+    bound = [_face_bound(d, size) for size in range(big[-1].bit_count() + 1)] if big else []
     for F in big:
         size = F.bit_count()
         gens.remove(F)
         meets = {0, *map(F.__and__, gens)}
         apex = next((bit for bit in bits(F) if F ^ bit not in meets), 0)
-        tops = _maximal(meets)
+        tops = _maximal(c for c in meets if c.bit_count() >= d - 2)
         cones = {apex | c for c in tops if not c & apex}
-        if not apex or sum(_face_bound(d, c.bit_count()) for c in cones) >= _face_bound(d, size):
+        if not apex or sum(bound[c.bit_count()] for c in cones) >= bound[size]:
             gens.add(F)
             continue
         gens |= cones
@@ -169,7 +176,8 @@ def _count_subsets(faces: Iterable[Face], sizes: range) -> list[int]:
     tops = _maximal(f for f in faces if f.bit_count() >= lo)
     counts = [0] * len(sizes)
     for k, c in enumerate(tops):
-        inner = _count_subsets(map(c.__and__, tops[:k]), sizes)
+        meets = [m for m in map(c.__and__, tops[:k]) if m.bit_count() >= lo]
+        inner = _count_subsets(meets, sizes) if meets else [0] * len(sizes)
         size = c.bit_count()
         for i, j in enumerate(sizes):
             counts[i] += comb(size, j) - inner[i]

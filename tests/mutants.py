@@ -53,6 +53,21 @@ MUTANTS = (
     ),
     Mutant("clearing off by one", "crosscut.py", "i not in cleared", "i + 1 not in cleared", CROSSCUT),
     Mutant(
+        "collapse drops the meets of d-2 vertices",
+        "crosscut.py",
+        "c.bit_count() >= d - 2",
+        "c.bit_count() >= d - 1",
+        CROSSCUT,
+    ),
+    Mutant("face bound of the row read one size low", "crosscut.py", ">= bound[size]", ">= bound[size - 1]", CROSSCUT),
+    Mutant(
+        "subset count drops the meets of min(sizes) vertices",
+        "crosscut.py",
+        "m.bit_count() >= lo",
+        "m.bit_count() > lo",
+        CROSSCUT,
+    ),
+    Mutant(
         "boundary appends rows of size upper.k + 1",
         "crosscut.py",
         "row.bit_count() == upper.k and",

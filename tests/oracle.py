@@ -68,9 +68,10 @@ def collapse_by_listing(d: int, rows: Iterable[int]) -> tuple[frozenset[frozense
     """The generators and the pair counts q of crosscut.collapse, with C listed face by face.
 
     The same pass on explicit vertex sets: rows with more than d+1
-    vertices in turn, largest first (ties by mask).  C is every subset of
-    every meet F & S with another generator S, the empty set included;
-    the apex a is the lowest vertex of F with F - a not in C.  F is
+    vertices in turn, smallest first (ties by mask).  C is every subset of
+    every meet F & S with another generator S, the empty set included.
+    F in C lies inside another generator and is dropped, with no pairs.
+    Else the apex a is the lowest vertex of F with F - a not in C.  F is
     replaced with the cones a + c over the maximal faces c of C without
     a when their count of faces of dimension d-2..d is below F's.  q[i]
     counts the (d-2+i)-subsets t of F - a with t not in C, each listed.
@@ -81,10 +82,12 @@ def collapse_by_listing(d: int, rows: Iterable[int]) -> tuple[frozenset[frozense
 
     gens = {frozenset(j + 1 for j in range(row.bit_length()) if row >> j & 1) for row in rows}
     q = [0, 0, 0, 0]
-    for F in sorted((F for F in gens if len(F) > d + 1), key=lambda F: (-len(F), vertex_mask(F))):
+    for F in sorted((F for F in gens if len(F) > d + 1), key=lambda F: (len(F), vertex_mask(F))):
         gens.remove(F)
         meets = {F & S for S in gens} | {frozenset()}
         C = {frozenset(t) for c in meets for size in range(len(c) + 1) for t in combinations(sorted(c), size)}
+        if F in C:
+            continue
         apex = next((a for a in sorted(F) if F - {a} not in C), None)
         tops = [c for c in meets if not any(c < other for other in meets)]
         cones = {c | {apex} for c in tops if apex not in c}

@@ -1,5 +1,7 @@
 import random
 import weakref
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -23,7 +25,7 @@ from polycomplete.fixtures import (
     prism,
     simplex_incidence,
 )
-from polycomplete.incidence import IncidenceMinor, transpose
+from polycomplete.incidence import IncidenceMinor, bits, transpose
 
 from oracle import boundary_columns, collapse_by_listing, gf2_rank, homology_all_ranks, supports, vertex_mask
 
@@ -413,9 +415,22 @@ LADDER_PRISM_RUNGS = [
     ("prism-cyclic-3-18-polar", transpose(prism(cyclic_incidence(3, 18)))),
 ]
 
+# K''s face bound, sum over its generators g of C(|g|, k+1) for k = d-2..d, on the side the
+# decision picks: a change that makes K' bigger fails here
+COLLAPSED_FACE_BOUNDS = {
+    "prism-cyclic-3-14": 614,
+    "prism-cyclic-3-14-r26": 530,
+    "prism-cyclic-3-18": 822,
+    "prism-cyclic-3-18-r19": 730,
+    "prism-cyclic-4-16": 8_112,
+    "prism-cyclic-4-16-r88": 7_962,
+    "prism-cyclic-3-18-polar": 768,
+}
 
-def maximal_faces(faces):
-    return {f for f in faces if not any(f < g for g in faces)}
+
+def faces_read(d, gens):
+    """The faces with d-1, d and d+1 vertices of the complex the generators span, the ones the decision reads."""
+    return {frozenset(t) for g in gens for j in range(d - 1, d + 2) for t in combinations(sorted(g), j)}
 
 
 def assert_counts_by_listing(d, M, label=None):
@@ -423,8 +438,9 @@ def assert_counts_by_listing(d, M, label=None):
     K, q = collapse(d, M)
     gens, q_listed = collapse_by_listing(d, M.row_masks)
     assert q == q_listed[2], label  # the pairs (t, t + a) with |t| = d
-    # a row inside another generator may stay in one and be dropped in the other: compare complexes
-    assert maximal_faces(set(map(frozenset, supports(K)))) == maximal_faces(gens), label
+    # collapse keeps no cone with fewer than d-1 vertices, and a row inside another generator may
+    # stay in one complex and be dropped in the other: compare the faces the decision reads
+    assert faces_read(d, supports(K)) == faces_read(d, gens), label
 
 
 class TestCollapseCounts:
@@ -447,6 +463,14 @@ class TestCollapseCounts:
         M = J if analyze(J.d, J).side == SIDE_PRIMAL else transpose(J)
         assert_counts_by_listing(J.d, M, name)
 
+    @pytest.mark.parametrize("name, J", LADDER_PRISM_RUNGS)
+    def test_ladder_prism_rungs_face_bound(self, name, J):
+        d = J.d
+        M = J if analyze(d, J).side == SIDE_PRIMAL else transpose(J)
+        K, _ = collapse(d, M)
+        bound = sum(comb(g.bit_count(), k + 1) for g in K.row_masks for k in range(d - 2, d + 1))
+        assert bound == COLLAPSED_FACE_BOUNDS[name]
+
     def test_forced_dual_cyclic_4_40(self):
         """40 rows of 74 vertices, where listing the faces of C takes tens of seconds.
 
@@ -462,6 +486,46 @@ class TestCollapseCounts:
         pairs = [48_863, 1_867_185, q, 565_241_523]
         collapsed = crosscut._count_subsets(K.row_masks, range(3, 6))
         assert [n + pairs[i] + pairs[i + 1] for i, n in enumerate(collapsed)] == faces
+
+
+def subsets_by_listing(faces, sizes):
+    """For each j in sizes, the j-sets inside at least one of faces, listed into a set."""
+    return [len({sum(t) for f in faces for t in combinations(bits(f), j)}) for j in sizes]
+
+
+class TestCountSubsets:
+    """_count_subsets, counted over the maximal faces and their meets, against the subsets listed."""
+
+    def test_random_set_systems(self):
+        rng = random.Random(30)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            lo = rng.randint(0, 6)
+            sizes = range(lo, lo + rng.randint(1, 4))
+            density = rng.random()
+            faces = [sum(1 << v for v in range(n) if rng.random() < density) for _ in range(rng.randint(0, 7))]
+            if faces and rng.random() < 0.5:
+                faces.append(rng.choice(faces))  # a duplicate
+            if faces and rng.random() < 0.5:
+                faces.append(rng.choice(faces) & rng.getrandbits(n))  # nested in another
+            assert crosscut._count_subsets(faces, sizes) == subsets_by_listing(faces, sizes), (faces, sizes)
+
+    @pytest.mark.parametrize(
+        "faces, sizes",
+        [
+            ([], range(0, 1)),
+            ([], range(2, 6)),
+            ([0], range(0, 2)),  # the empty face alone holds the empty set
+            ([0b111, 0b111, 0b111], range(1, 4)),  # duplicates
+            ([0b11111, 0b111, 0b1, 0], range(0, 4)),  # a chain of nested faces
+            ([0b11111, 0b1111100000, 0b111110000000000], range(2, 5)),  # disjoint tops
+            ([0b11111, 0b111110000, 0b1111100000000], range(2, 5)),  # tops meet in one vertex, below min(sizes)
+            ([0b11111, 0b111110000, 0b1111100000000], range(1, 3)),  # the same meets at min(sizes)
+            ([0b111111, 0b111111000, 0b100000111], range(3, 7)),  # meets of 3 vertices, every one counted
+        ],
+    )
+    def test_edge_cases(self, faces, sizes):
+        assert crosscut._count_subsets(faces, sizes) == subsets_by_listing(faces, sizes)
 
 
 class TestCollapseReturnsM:
