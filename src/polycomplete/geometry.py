@@ -6,9 +6,11 @@ point, and the trustworthiness of the extracted incidence matrix is the
 whole reason to start from coordinates rather than from a combinatorial
 matrix one has to take on faith.
 
-Rationals are scaled to integers once per object: a halfspace a.x <= b
-as L(b, -a) and a point x as (D, Dx), L and D > 0 the lcms of their
-denominators, so that their dot product is the integer slack LD(b - a.x).
+Every check reads integers: a point x as (D, Dx) and a halfspace
+a.x <= b as L(b, -a), D and L > 0 the lcms of their reduced denominators,
+so that their dot product is the integer slack LD(b - a.x).  The parser
+reads each line straight into this form, and derives rationals only to
+print them.
 Containment reads many slacks at once, from integer products over
 coordinates packed into lanes (points and halfspaces in classes by bit
 width; of each pair of classes the wider is packed and the narrower
@@ -48,10 +50,12 @@ CHECK_CONTAINMENT = "containment"
 CHECK_FULL_DIMENSION = "full-dimension"
 CHECK_VERTEX = "vertex"
 CHECK_FACET = "facet"
+_ZERO_NORMAL = "halfspace normal must not be identically zero"
 
-# the one rational grammar; int() and Fraction() alone would also read '_',
-# non-ASCII digits and exponents (1e9999999 has ten million digits)
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+# the one rational grammar; int() alone would also read '_' and non-ASCII
+# digits, and Fraction() exponents (1e9999999 has ten million digits).  A
+# denominator has a nonzero digit, so the reader never divides by zero.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
 class GeometryFormatError(FormatError):
@@ -69,54 +73,91 @@ def _homogeneous(values: Sequence[Fraction]) -> tuple[int, ...]:
     return (D, *(v.numerator * (D // v.denominator) for v in values))
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """Closed halfspace normal . x <= offset with rational coefficients."""
+class _Value:
+    """Immutable, equal and hashed by _key(): the one representation that
+    both ways of building the value derive alike."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    @classmethod
+    def _holding(cls, **attributes):
+        """An instance holding the attributes, built without __init__."""
+        value = cls.__new__(cls)
+        value.__dict__.update(attributes)
+        return value
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", _to_fractions(self.normal))
-        object.__setattr__(self, "offset", *_to_fractions([self.offset]))
-        if all(a == 0 for a in self.normal):
-            raise ValueError("halfspace normal must not be identically zero")
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Halfspace(_Value):
+    """Closed halfspace normal . x <= offset with rational coefficients,
+    held as given or, when parsed, as the homogeneous form (L, L*normal,
+    L*offset) of its line, each derived from the other on use."""
+
+    def __init__(self, normal: Iterable, offset):
+        normal = _to_fractions(normal)
+        if not any(normal):
+            raise ValueError(_ZERO_NORMAL)
+        self.__dict__.update(normal=normal, offset=offset if type(offset) is Fraction else Fraction(offset))
+
+    @cached_property
+    def _form(self) -> tuple[int, ...]:
+        return _homogeneous((*self.normal, self.offset))
+
+    @cached_property
+    def normal(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self._form[0]) for x in self._form[1:-1])
+
+    @cached_property
+    def offset(self) -> Fraction:
+        return Fraction(self._form[-1], self._form[0])
 
     @cached_property
     def integer_form(self) -> tuple[int, ...]:
         """L*(offset, -normal) in integers, L > 0 the lcm of the denominators."""
-        _, b, *a = _homogeneous((self.offset, *self.normal))
+        _, *a, b = self._form
         return (b, *(-x for x in a))
 
     def is_tight(self, point: Sequence[int]) -> bool:
         """Whether a point in homogeneous form (D, D*x) lies on the hyperplane."""
         return sum(map(mul, self.integer_form, point)) == 0
 
+    def _key(self):
+        return self._form
 
-@dataclass(frozen=True)
-class GeometricInstance:
-    """Points and halfspaces in dimension d, all coordinates rational."""
 
-    d: int
-    points: tuple[RationalPoint, ...]
-    halfspaces: tuple[Halfspace, ...]
+class GeometricInstance(_Value):
+    """Points and halfspaces in dimension d, all coordinates rational: the
+    points held as the rationals given or, when parsed, as their
+    homogeneous forms, each derived from the other on use."""
 
-    def __post_init__(self):
-        if self.d < 0:
+    def __init__(self, d: int, points: Iterable[Iterable], halfspaces: Iterable[Halfspace]):
+        if d < 0:
             raise ValueError("dimension d must be nonnegative")
-        object.__setattr__(self, "points", tuple(_to_fractions(p) for p in self.points))
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
+        self.__dict__.update(d=d, points=tuple(map(_to_fractions, points)), halfspaces=tuple(halfspaces))
         for i, p in enumerate(self.points, start=1):
-            if len(p) != self.d:
-                raise ValueError(f"point {i} has {len(p)} coordinates, expected {self.d}")
+            if len(p) != d:
+                raise ValueError(f"point {i} has {len(p)} coordinates, expected {d}")
         for k, h in enumerate(self.halfspaces, start=1):
-            if len(h.normal) != self.d:
-                raise ValueError(f"halfspace {k} has {len(h.normal)} coefficients, expected {self.d}")
+            if len(h.normal) != d:
+                raise ValueError(f"halfspace {k} has {len(h.normal)} coefficients, expected {d}")
+
+    @cached_property
+    def points(self) -> tuple[RationalPoint, ...]:
+        return tuple(tuple(Fraction(x, D) for x in v) for D, *v in self.homogeneous_points)
 
     @cached_property
     def homogeneous_points(self) -> tuple[tuple[int, ...], ...]:
         """Each point x as integers (D, D*x), D > 0 the lcm of its denominators."""
         return tuple(map(_homogeneous, self.points))
+
+    def _key(self):
+        return self.d, self.homogeneous_points, self.halfspaces
 
 
 @dataclass(frozen=True)
@@ -251,21 +292,21 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
     affinely span dimension d-1.  Duplicate points are rejected up front.
     """
     issues: list[ValidationIssue] = []
-    seen: dict[RationalPoint, int] = {}
-    for i, p in enumerate(inst.points, start=1):
-        first = seen.setdefault(p, i)
+    homogeneous = inst.homogeneous_points
+    seen: dict[tuple[int, ...], int] = {}
+    for i, hp in enumerate(homogeneous, start=1):
+        first = seen.setdefault(hp, i)
         if first != i:
             issues.append(ValidationIssue(CHECK_DISTINCT, f"point {i}", f"duplicates point {first}"))
 
-    homogeneous = inst.homogeneous_points
     forms = [h.integer_form for h in inst.halfspaces]
     violated = [(k + 1, forms[k]) for k in _violated_forms(forms, homogeneous)]
-    for i, (p, hp) in enumerate(zip(inst.points, homogeneous), start=1):
+    for i, hp in enumerate(homogeneous, start=1):
         for k, form in violated:  # only the failed halfspaces' pairs, to word the messages
             if sum(map(mul, form, hp)) < 0:  # the integer slack of the pair
                 h = inst.halfspaces[k - 1]
                 try:
-                    values = f" ({sum(map(mul, h.normal, p))} > {h.offset})"
+                    values = f" ({sum(map(mul, h.normal, inst.points[i - 1]))} > {h.offset})"
                 except ValueError:  # an integer past sys.get_int_max_str_digits()
                     values = " (values too long to print)"
                 issues.append(ValidationIssue(CHECK_CONTAINMENT, f"point {i}", f"violates halfspace {k}{values}"))
@@ -281,9 +322,9 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
         )
     incidence = extract_incidence(inst)
     tight = incidence.row_masks
-    every_point = (1 << len(inst.points)) - 1
+    every_point = (1 << len(homogeneous)) - 1
     for k, mask in enumerate(tight, start=1):
-        if inst.points and mask == every_point:
+        if homogeneous and mask == every_point:
             issues.append(
                 ValidationIssue(
                     CHECK_FULL_DIMENSION,
@@ -292,7 +333,7 @@ def validate_instance(inst: GeometricInstance) -> ValidationReport:
                 )
             )
 
-    normals: list[list[tuple[int, ...]]] = [[] for _ in inst.points]  # each point's tight normals
+    normals: list[list[tuple[int, ...]]] = [[] for _ in homogeneous]  # each point's tight normals
     for normal, mask in zip((form[1:] for form in forms), tight):
         for low in bits(mask):
             normals[low.bit_length() - 1].append(normal)
@@ -334,23 +375,30 @@ def extract_incidence(inst: GeometricInstance) -> IncidenceMinor:
     return IncidenceMinor(inst.d, len(points), tuple(masks))
 
 
-def _parse_rationals(line: str, expected: int, lineno: int) -> tuple[Fraction, ...]:
+def _read_line(line: str, expected: int, lineno: int) -> tuple[int, ...]:
+    """The line's rationals v as integers (D, D*v), D > 0 the lcm of their
+    reduced denominators, as _homogeneous has them.  The tokens num/den
+    (den = 10^k for k decimals) are not reduced: their common denominator
+    gives a multiple of (D, D*v), which is primitive (D*v_i is prime to p
+    for the v_i with the most factors p in its denominator)."""
     parts = line.split()
     if len(parts) != expected:
         raise GeometryFormatError(f"expected {expected} rationals, found {len(parts)}", lineno)
-    values = []
-    for part in parts:
-        try:
+    nums, dens = [], []
+    try:
+        for part in parts:
             if not _RATIONAL.fullmatch(part):
                 raise ValueError(part)
-            if "." in part:
-                values.append(Fraction(part))
-            else:  # integers and num/den skip Fraction's regular expression
-                num, _, den = part.partition("/")
-                values.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
-        except (ValueError, ZeroDivisionError):
-            raise GeometryFormatError(f"bad rational {part!r}", lineno) from None
-    return tuple(values)
+            num, _, den = part.partition("/")
+            whole, _, fraction = num.partition(".")
+            nums.append(int(whole + fraction))
+            dens.append(int(den) if den else 10 ** len(fraction))
+    except ValueError:  # also an integer past sys.get_int_max_str_digits()
+        raise GeometryFormatError(f"bad rational {part!r}", lineno) from None
+    D = lcm(*dens)
+    form = (D, *(x * (D // q) for x, q in zip(nums, dens)))
+    g = gcd(*form)
+    return form if g == 1 else tuple(x // g for x in form)
 
 
 def parse_geometry(text: str) -> GeometricInstance:
@@ -358,7 +406,7 @@ def parse_geometry(text: str) -> GeometricInstance:
 
     Header "d p h" (integers, -?[0-9]+), then p lines of d rationals
     (points), then h lines of d+1 rationals (halfspace normal, then
-    offset), each matching [+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+).
+    offset), each matching [+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+).
     '#' lines are comments.  Blank lines are ignored, except that when
     d = 0 each point is an empty line.
     """
@@ -367,15 +415,14 @@ def parse_geometry(text: str) -> GeometricInstance:
     body = body_lines(lines, p + h, d == 0)  # points are empty lines when d = 0
     if len(body) != p + h:
         raise GeometryFormatError(f"expected {p} point and {h} halfspace lines, found {len(body)}")
-    points = [_parse_rationals(ln, d, no) for no, ln in body[:p]]
+    points = tuple(_read_line(ln, d, no) for no, ln in body[:p])
     halfspaces = []
     for no, ln in body[p:]:
-        values = _parse_rationals(ln, d + 1, no)
-        try:
-            halfspaces.append(Halfspace(values[:-1], values[-1]))
-        except ValueError as exc:
-            raise GeometryFormatError(str(exc), no) from None
-    return GeometricInstance(d, tuple(points), tuple(halfspaces))
+        form = _read_line(ln, d + 1, no)
+        if not any(form[1:-1]):
+            raise GeometryFormatError(_ZERO_NORMAL, no)
+        halfspaces.append(Halfspace._holding(_form=form))
+    return GeometricInstance._holding(d=d, homogeneous_points=points, halfspaces=tuple(halfspaces))
 
 
 def serialize_geometry(inst: GeometricInstance) -> str:

@@ -116,8 +116,22 @@ MUTANTS = (
     Mutant(
         "rational digits as \\d",
         "geometry.py",
-        r'r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)"',
-        r'r"[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)"',
+        r'r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)"',
+        r'r"[+-]?(?:\d+(?:/0*[1-9]\d*)?|\d+\.\d*|\.\d+)"',
+        ("test_formats.py",),
+    ),
+    Mutant(
+        "parser leaves num/den unreduced",
+        "geometry.py",
+        "return form if g == 1 else tuple(x // g for x in form)",
+        "return form",
+        ("test_formats.py",),
+    ),
+    Mutant(
+        "parser drops the zero-denominator check",
+        "geometry.py",
+        'r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?',
+        'r"[+-]?(?:[0-9]+(?:/[0-9]+)?',
         ("test_formats.py",),
     ),
 )

@@ -59,6 +59,12 @@ class TestEnumerateFaces:
         with pytest.raises(ValueError):
             enumerate_faces(J, -2)
 
+    def test_below_the_empty_face_is_refused(self):
+        J = IncidenceMinor(2, 3, tuple(map(vertex_mask, [(1, 2)])))
+        with pytest.raises(ValueError) as err:
+            enumerate_faces(J, -2)
+        assert str(err.value) == "face dimension k must be >= -1"
+
     def test_km_face_counts(self, km):
         # 8 vertices, 24 edges, 24 triangles, 6 tetrahedra: reduced Euler
         # characteristic -1+8-24+24-6 = 1 matches a single 2-sphere class

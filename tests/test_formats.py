@@ -1,4 +1,5 @@
-"""The three text formats: pinned diagnostics and a CLI fuzz for tracebacks.
+"""The three text formats: pinned diagnostics, a CLI fuzz for tracebacks, and
+the geometry reader's integer forms checked against Fraction.
 
 DIAGNOSTICS pins, for each malformed input, the exception type, the exact
 message and the 1-based line the exception carries (None when the fault
@@ -12,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from polycomplete.cli import main
-from polycomplete.geometry import GeometryFormatError, parse_geometry
+from polycomplete.fixtures import geometric_crosspolytope, geometric_cube_km, geometric_cyclic
+from polycomplete.geometry import GeometricInstance, GeometryFormatError, Halfspace, parse_geometry, serialize_geometry
 from polycomplete.incidence import IncidenceFormatError, parse_incidence
 from polycomplete.pulling import CertificateFormatError, parse_certificate
 
@@ -159,6 +161,69 @@ ACCEPTED_RATIONALS = [
 @pytest.mark.parametrize("token, value", ACCEPTED_RATIONALS)
 def test_rational_accepted(token, value):
     assert parse_geometry(f"1 1 1\n{token}\n1 1\n").points == ((value,),)
+
+
+def random_token(rng):
+    """A random token of the rational grammar: signs, leading zeros,
+    unreduced fractions, zero numerators and decimals."""
+    sign = rng.choice(("", "", "+", "-"))
+    digits = lambda: "0" * rng.randint(0, 2) + str(rng.choice((0, 1, 2, 3, 4, 6, 8, 12, 10**20 + 6)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return sign + digits()
+    if kind == 1:
+        return f"{sign}{digits()}/{'0' * rng.randint(0, 2)}{rng.choice((1, 2, 3, 4, 6, 8, 9, 10**19))}"
+    if kind == 2:
+        return sign + rng.choice(("6/4", "0/5", "007/008", "2/4", "1/2"))
+    whole, fraction = rng.choice((("", "5"), ("5", ""), ("0", "25"), ("12", "50"), ("007", "0")))
+    return f"{sign}{whole}.{fraction}"
+
+
+def assert_same_instance(parsed, built):
+    """The parsed instance equals the one built from rationals in every
+    representation, each side deriving the one it was not built with."""
+    assert parsed == built and hash(parsed) == hash(built)
+    assert parsed.homogeneous_points == built.homogeneous_points
+    for a, b in zip(parsed.halfspaces, built.halfspaces, strict=True):
+        assert a == b and hash(a) == hash(b)
+        assert a.integer_form == b.integer_form
+        assert (a.normal, a.offset) == (b.normal, b.offset)
+    assert parsed.points == built.points
+
+
+def test_parser_agrees_with_fractions():
+    rng = random.Random(31)
+    for _ in range(300):
+        d, p, h = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        points = [[random_token(rng) for _ in range(d)] for _ in range(p)]
+        halfspaces = []
+        while len(halfspaces) < h and d:
+            line = [random_token(rng) for _ in range(d + 1)]
+            if any(map(Fraction, line[:-1])):
+                halfspaces.append(line)
+        text = "\n".join([f"{d} {p} {len(halfspaces)}", *map(" ".join, points + halfspaces)]) + "\n"
+        built = GeometricInstance(
+            d,
+            [[Fraction(t) for t in line] for line in points],
+            [Halfspace([Fraction(t) for t in line[:-1]], Fraction(line[-1])) for line in halfspaces],
+        )
+        assert_same_instance(parse_geometry(text), built)
+
+
+def test_reduced_and_unreduced_fractions_read_alike():
+    half, two_quarters = (parse_geometry(f"1 1 1\n{t}\n{t} {t}\n") for t in ("1/2", "2/4"))
+    assert half.homogeneous_points == two_quarters.homogeneous_points == ((2, 1),)
+    assert half.halfspaces[0].integer_form == two_quarters.halfspaces[0].integer_form == (1, -1)
+    assert half == two_quarters
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [geometric_cube_km(), geometric_crosspolytope(3), geometric_cyclic(3, 7), geometric_cyclic(4, 9)],
+    ids=["cube-km", "cross-3", "cyclic-3-7", "cyclic-4-9"],
+)
+def test_serialized_fixture_parses_back_equal(inst):
+    assert_same_instance(parse_geometry(serialize_geometry(inst)), inst)
 
 
 FUZZ_PIECES = ("0", "1", "#", "/", "-", "e", "_", ".", "RIDGE", "EMPTY", "1/0", " ", "\t", "\n", "\r\n")

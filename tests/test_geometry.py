@@ -597,6 +597,19 @@ class TestTextFormat:
         assert parse_geometry(serialize_geometry(inst)) == inst
         assert parse_geometry("# one point\n0 1 0\n\n\n\n") == inst
 
+    def test_integer_and_fraction_tokens_build_no_fraction(self, monkeypatch):
+        text = serialize_geometry(geometric_cyclic(4, 9))  # the text of gen cyclic 4 9 --geometry
+        assert "/" in text and "." not in text
+        calls = []
+
+        def counting_fraction(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(geometry, "Fraction", counting_fraction)
+        assert validate_instance(parse_geometry(text)).ok
+        assert calls == []
+
     def test_fraction_coordinates(self):
         inst = parse_geometry("1 2 2\n-1/2\n3/2\n-1 1/2\n1 3/2\n")
         assert inst.points == ((Fraction(-1, 2),), (Fraction(3, 2),))

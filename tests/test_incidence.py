@@ -221,6 +221,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             IncidenceMinor(2, 2, (5,))
 
+    def test_out_of_range_bits_name_their_row(self):
+        with pytest.raises(ValueError) as err:
+            IncidenceMinor(2, 3, (0b011, 0b1001, 0b110))  # row 2 has a bit in column 4
+        assert str(err.value) == "row 2: bits outside columns 1..3"
+        with pytest.raises(ValueError) as err:
+            IncidenceMinor(2, 3, (0b011, -1))  # a negative mask has bits everywhere
+        assert str(err.value) == "row 2: bits outside columns 1..3"
+
     def test_rejects_negative_dimension(self):
         with pytest.raises(ValueError):
             IncidenceMinor(-1, 2, (1,))
